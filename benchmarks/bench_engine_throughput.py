@@ -16,7 +16,7 @@ import time
 from repro.experiments.params import ns2_params
 from repro.net.network import Network
 from repro.sim.engine import Simulator
-from repro.util.hotpath import set_hotpath, set_vector
+from repro.util.hotpath import set_hotpath
 
 #: Where the cull bench drops its machine-readable result.
 BENCH_JSON = os.environ.get("REPRO_BENCH_ENGINE_JSON", "BENCH_engine.json")
@@ -32,15 +32,6 @@ BENCH_HOTPATH_JSON = os.environ.get(
 #: otherwise dilute the measured ratio) and that one round dwarfs
 #: scheduler jitter on a single-CPU runner.
 DENSE_DURATION_S = 0.3
-
-#: Untimed simulated seconds run before each vector-bench timing window.
-#: The dense cell derives all 420 per-link RNG substreams lazily during
-#: the first frames (~15 ms of one-time SHA-256 + PCG64 seeding shared
-#: by both modes); a short warm-up segment moves that setup out of the
-#: timed window so the measured ratio is the steady-state per-frame
-#: speedup the column claims, not setup-diluted.
-VECTOR_WARMUP_S = 0.03
-
 
 def test_engine_event_throughput(benchmark):
     def run_events():
@@ -134,8 +125,10 @@ def test_cull_throughput_large_topology(benchmark):
 
     Pinned to the uncoalesced path: the default hot path delivers all of
     a frame's receivers in one event, which hides culling's per-receiver
-    event economy.  With the hot path off the bench keeps measuring the
-    same thing it always has.
+    event economy.  The culled run is otherwise the default path, so on
+    this 92 km floor its channel also chooses the hash grid
+    (:func:`repro.phy.spatial.grid_pays_off`); the exhaustive run cannot,
+    having no cull margin to bound a reach radius.
     """
     duration_s = 0.05
 
@@ -339,139 +332,6 @@ def test_hotpath_throughput_dense(benchmark):
 
 
 # ----------------------------------------------------------------------
-# The vector backend vs the scalar hot path on the same dense cell
-# ----------------------------------------------------------------------
-def _time_vector_round(vector_on):
-    """One timed dense-cell segment with the vector backend pinned.
-
-    The hot path stays on in both modes — the column measures the
-    array-of-links backend against the *fastest* scalar configuration,
-    not against the slow reference path.  A warm-up segment runs first
-    (untimed) so one-time substream seeding stays out of the window;
-    ``Network.run`` extends the horizon incrementally, so the timed
-    segment continues the same simulation.
-    """
-    set_hotpath(True)
-    set_vector(vector_on)
-    net = _build_dense_cell()
-    net.run(VECTOR_WARMUP_S)
-    gc.collect()
-    start = time.perf_counter()
-    net.run(DENSE_DURATION_S)
-    wall_s = time.perf_counter() - start
-    channel = net.channels[0]
-    snapshot = {
-        "nodes": len(net.nodes),
-        "events_fired": net.sim.events_fired,
-        "heap_peak": net.sim.heap_peak,
-        "frames_sent": channel.frames_sent,
-        "per_node": {
-            node.name: (
-                node.radio.frames_transmitted,
-                node.radio.frames_received,
-                node.radio.frames_corrupted,
-                node.radio.frames_missed,
-            )
-            for node in net.nodes.values()
-        },
-    }
-    return wall_s, snapshot
-
-
-def _run_vector_modes(rounds=5):
-    """Min-of-``rounds`` wall time per mode, rounds interleaved.
-
-    Same discipline as :func:`_run_hotpath_modes`: alternating
-    (vector, scalar, vector, scalar, ...) rounds keep machine-level
-    drift from skewing one mode, and min-of-N is the standard noise
-    floor estimator for a fixed workload.
-    """
-    best = {True: None, False: None}
-    snapshots = {True: None, False: None}
-    try:
-        for _ in range(rounds):
-            for vector_on in (True, False):
-                wall_s, snapshot = _time_vector_round(vector_on)
-                if best[vector_on] is None or wall_s < best[vector_on]:
-                    best[vector_on] = wall_s
-                if snapshots[vector_on] is None:  # deterministic per mode
-                    snapshots[vector_on] = snapshot
-    finally:
-        set_hotpath(None)
-        set_vector(None)
-    for vector_on in (True, False):
-        snapshots[vector_on]["wall_s"] = best[vector_on]
-        snapshots[vector_on]["events_per_sec"] = (
-            snapshots[vector_on]["events_fired"] / best[vector_on]
-        )
-    return snapshots[True], snapshots[False]
-
-
-def test_vector_throughput_dense(benchmark):
-    """The array-of-links backend must beat the scalar hot path >= 1.3x.
-
-    The dense 21-node cell is the vector backend's worst case for any
-    event-economy trick — culling is off and every radio hears every
-    frame — so the whole margin has to come from batched per-frame
-    work: plan reuse, bulk-composed shadowing powers, and the inlined
-    batch delivery loops.  Physics must be untouched: per-node counters
-    are asserted bit-identical between the modes (the equivalence
-    contract of ``repro.phy.vector``, pinned in depth by
-    ``tests/test_vector_equivalence.py``).
-
-    The result is appended as a ``vector`` column to the same
-    ``BENCH_engine.json`` the cull bench writes, preserving whatever
-    else is already there (read-modify-write, so test order and
-    partial runs don't drop columns).
-    """
-    import pytest
-
-    pytest.importorskip("numpy", reason="vector backend needs the [vector] extra")
-
-    vec, sca = benchmark.pedantic(_run_vector_modes, rounds=1, iterations=1)
-
-    # Identical physics: batching may never change a single outcome.
-    assert vec["per_node"] == sca["per_node"]
-    assert vec["frames_sent"] == sca["frames_sent"]
-
-    speedup = sca["wall_s"] / vec["wall_s"]
-    column = {
-        "nodes": vec["nodes"],
-        "sim_duration_s": DENSE_DURATION_S,
-        "warmup_s": VECTOR_WARMUP_S,
-        "frames_sent": vec["frames_sent"],
-        "vector_on": {
-            "wall_s": round(vec["wall_s"], 4),
-            "events_fired": vec["events_fired"],
-            "events_per_sec": round(vec["events_per_sec"]),
-        },
-        "vector_off": {
-            "wall_s": round(sca["wall_s"], 4),
-            "events_fired": sca["events_fired"],
-            "events_per_sec": round(sca["events_per_sec"]),
-        },
-        "wall_speedup": round(speedup, 2),
-        "per_node_counters_identical": True,
-    }
-    try:
-        with open(BENCH_JSON, "r", encoding="utf-8") as fh:
-            result = json.load(fh)
-    except (FileNotFoundError, ValueError):
-        result = {}
-    result["vector"] = column
-    with open(BENCH_JSON, "w", encoding="utf-8") as fh:
-        json.dump(result, fh, indent=2)
-        fh.write("\n")
-    print()
-    print(f"vector on : {vec['events_fired']:>9} events in "
-          f"{vec['wall_s']:.3f}s ({vec['events_per_sec']:,.0f} ev/s)")
-    print(f"vector off: {sca['events_fired']:>9} events in "
-          f"{sca['wall_s']:.3f}s ({sca['events_per_sec']:,.0f} ev/s)")
-    print(f"wall speedup: {speedup:.2f}x  -> {BENCH_JSON} (vector column)")
-    assert speedup >= 1.3, f"vector speedup {speedup:.2f}x below the 1.3x floor"
-
-
-# ----------------------------------------------------------------------
 # C-SR floor column
 # ----------------------------------------------------------------------
 
@@ -508,7 +368,7 @@ def test_csr_floor_coordination(benchmark):
     load — more aggregate goodput at a fraction of the tail latency.
 
     The result is appended as a ``csr`` column to the same
-    ``BENCH_engine.json`` the cull and vector benches write
+    ``BENCH_engine.json`` the cull bench writes
     (read-modify-write, so test order and partial runs don't drop
     columns).
     """

@@ -74,6 +74,7 @@ from repro.obs.profile import maybe_profiler
 from repro.obs.trace_io import events_from_payload, events_to_payload
 from repro.phy.spatial import spatial_manifest_block
 from repro.sim.trace import configure_from_env, global_recorder
+from repro.util.hotpath import hotpath_enabled
 from repro.util.rng import _canonical, derive_seed
 
 #: Environment knob: worker-process count for sweep execution.
@@ -644,6 +645,7 @@ def _write_sweep_manifest(
         profile=profile,
         failures=failures,
         spatial=spatial_manifest_block(),
+        hotpath=hotpath_enabled(),
     )
     try:
         return obs_manifest.write_manifest(manifest, directory)

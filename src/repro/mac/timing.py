@@ -13,20 +13,19 @@ sub-1 % idealization documented in DESIGN.md.
 
 Airtimes are memoized per ``(rate, size)``: DCF, CO-MAP, and C-MAP all
 recompute frame/ACK/CTS airtimes and EIFS per frame, yet the distinct
-key set is tiny (a handful of rates times a handful of sizes).  Every
-memoized value is produced by exactly the expression the unmemoized
-path evaluates (integer arithmetic on frozen inputs), so the cache is
-exact by construction; ``REPRO_HOTPATH=off`` bypasses it entirely.
+key set is tiny (a handful of rates times a handful of sizes).  Each
+value is integer arithmetic on frozen inputs — a pure function of its
+key — so the memo is exact by construction and always on, whatever
+``REPRO_HOTPATH`` says (``tests/test_frames_timing.py`` pins it
+against the direct expressions).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
 
 from repro.mac.frames import ACK_BYTES, CTS_BYTES, Frame
 from repro.phy.rates import Rate, RateTable
-from repro.util.hotpath import hotpath_enabled
 from repro.util.units import MICROSECOND
 
 
@@ -59,15 +58,13 @@ class PhyTiming:
         Applied after a corrupted reception (802.11-2007 9.2.3.4) so the
         sender of the corrupted frame has room to be ACKed.
         """
-        if hotpath_enabled():
-            memo: Dict[Tuple, int] = self._memo  # type: ignore[attr-defined]
-            key = ("eifs", base_rate)
-            value = memo.get(key)
-            if value is None:
-                value = self.sifs_ns + self.ack_airtime_ns(base_rate) + self.difs_ns
-                memo[key] = value
-            return value
-        return self.sifs_ns + self.ack_airtime_ns(base_rate) + self.difs_ns
+        key = ("eifs", base_rate)
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = (
+                self.sifs_ns + self.ack_airtime_ns(base_rate) + self.difs_ns
+            )
+        return value
 
     def frame_airtime_ns(self, frame: Frame) -> int:
         """Total on-air duration of ``frame`` at its own rate.
@@ -75,53 +72,39 @@ class PhyTiming:
         Memoized per ``(rate, total_bytes)`` — the airtime depends on the
         frame only through those two values.
         """
-        if hotpath_enabled():
-            memo: Dict[Tuple, int] = self._memo  # type: ignore[attr-defined]
-            key = ("frame", frame.rate, frame.total_bytes)
-            value = memo.get(key)
-            if value is None:
-                value = self.preamble_ns + frame.rate.airtime_ns(frame.total_bytes)
-                memo[key] = value
-            return value
-        return self.preamble_ns + frame.rate.airtime_ns(frame.total_bytes)
+        key = ("frame", frame.rate, frame.total_bytes)
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = (
+                self.preamble_ns + frame.rate.airtime_ns(frame.total_bytes)
+            )
+        return value
 
     def ack_airtime_ns(self, rate: Rate) -> int:
         """Duration of an ACK control frame at ``rate``."""
-        if hotpath_enabled():
-            memo: Dict[Tuple, int] = self._memo  # type: ignore[attr-defined]
-            key = ("ack", rate)
-            value = memo.get(key)
-            if value is None:
-                value = self.preamble_ns + rate.airtime_ns(ACK_BYTES)
-                memo[key] = value
-            return value
-        return self.preamble_ns + rate.airtime_ns(ACK_BYTES)
+        key = ("ack", rate)
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = self.preamble_ns + rate.airtime_ns(ACK_BYTES)
+        return value
 
     def cts_airtime_ns(self, rate: Rate) -> int:
         """Duration of a CTS control frame at ``rate``."""
-        if hotpath_enabled():
-            memo: Dict[Tuple, int] = self._memo  # type: ignore[attr-defined]
-            key = ("cts", rate)
-            value = memo.get(key)
-            if value is None:
-                value = self.preamble_ns + rate.airtime_ns(CTS_BYTES)
-                memo[key] = value
-            return value
-        return self.preamble_ns + rate.airtime_ns(CTS_BYTES)
+        key = ("cts", rate)
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = self.preamble_ns + rate.airtime_ns(CTS_BYTES)
+        return value
 
     def ack_timeout_ns(self, rate: Rate) -> int:
         """How long a sender waits for an ACK before declaring loss."""
-        if hotpath_enabled():
-            memo: Dict[Tuple, int] = self._memo  # type: ignore[attr-defined]
-            key = ("ack_timeout", rate)
-            value = memo.get(key)
-            if value is None:
-                value = (
-                    self.sifs_ns + self.ack_airtime_ns(rate) + self.ack_timeout_slack_ns
-                )
-                memo[key] = value
-            return value
-        return self.sifs_ns + self.ack_airtime_ns(rate) + self.ack_timeout_slack_ns
+        key = ("ack_timeout", rate)
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = (
+                self.sifs_ns + self.ack_airtime_ns(rate) + self.ack_timeout_slack_ns
+            )
+        return value
 
     def data_exchange_ns(self, rate: Rate, payload_bytes: int, ack_rate: Rate) -> int:
         """Airtime of one successful DATA/ACK exchange including DIFS.

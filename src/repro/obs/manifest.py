@@ -101,13 +101,16 @@ class RunManifest:
     #: the worker ids that produced the fragments.  ``None`` on
     #: single-``run_tasks`` manifests (schema version 2, optional).
     shards: Optional[Dict[str, Any]] = None
-    #: Spatial candidate-generation configuration at sweep completion
-    #: (``enabled`` flag plus grid cell-size and reach-radius aggregates
-    #: when any grid was built) — see
-    #: :func:`repro.phy.spatial.spatial_manifest_block`.  Optional for
-    #: the same archival-compatibility reason as ``profile``: manifests
-    #: written before the spatial index existed validate unchanged.
+    #: Spatial grids built in this process by sweep completion (count
+    #: plus cell-size and reach-radius aggregates when any was built) —
+    #: see :func:`repro.phy.spatial.spatial_manifest_block`.  Optional
+    #: for the same archival-compatibility reason as ``profile``;
+    #: archived manifests may carry an older ``{"enabled": ...}`` form.
     spatial: Optional[Dict[str, Any]] = None
+    #: State of the ``REPRO_HOTPATH`` knob (:mod:`repro.util.hotpath`),
+    #: the one PHY execution-mode knob, so a reference-path run is told
+    #: apart from a default one.  ``None`` on archived manifests.
+    hotpath: Optional[bool] = None
 
     def to_dict(self) -> Dict[str, Any]:
         out = {"schema": MANIFEST_SCHEMA, "version": MANIFEST_SCHEMA_VERSION}
@@ -265,6 +268,7 @@ def build_manifest(
     failures: Optional[List[Dict[str, Any]]] = None,
     shards: Optional[Dict[str, Any]] = None,
     spatial: Optional[Dict[str, Any]] = None,
+    hotpath: Optional[bool] = None,
 ) -> RunManifest:
     """Assemble a :class:`RunManifest` with provenance filled in."""
     return RunManifest(
@@ -284,6 +288,7 @@ def build_manifest(
         failures=failures,
         shards=shards,
         spatial=spatial,
+        hotpath=hotpath,
     )
 
 

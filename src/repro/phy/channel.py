@@ -48,30 +48,31 @@ explicitly via the ``REPRO_CULL_MARGIN_DB`` environment knob, and
 ``REPRO_CULL_MARGIN_DB=off`` restores the old exhaustive path.  Culled
 notifications are counted in the ``channel/culled_links`` counter.
 
-Spatial candidate generation (``REPRO_SPATIAL``)
-------------------------------------------------
+Spatial candidate generation
+----------------------------
 
 Culling skips the *work* for a below-floor receiver but still *visits*
-every attached radio per frame.  With ``REPRO_SPATIAL=1`` (or the
-``spatial`` constructor argument / ``ScenarioParams.spatial_index``) the
-channel maintains a :class:`repro.phy.spatial.SpatialIndex` over
-attached radios and sweeps only the radios inside the sender's *reach
-radius* — the provably sound cull boundary derived by
+every attached radio per frame.  On a floor much wider than a sender's
+*reach radius* — the provably sound cull boundary derived by
 :meth:`repro.phy.propagation.LogNormalShadowing.reach_radius_m` from
 the sender's transmit power, the weakest ``min(noise_floor, T_cs)``
-threshold ever attached to the band, and the culling margin.  Every
-radio the grid skips would have failed the cull test, and every
-candidate still runs the exact cull test, so per-node outcomes are
-bit-identical to the exhaustive sweep; only the ``channel/spatial_*``
-counters record the difference.  Candidates are re-sorted into attach
-order before delivery, preserving the notification order contract.
-Spatial mode requires an active culling margin — with
-``cull_margin_db=None`` there is no sound radius, so the knob is inert
-and the exhaustive loop runs unchanged.  The weakest threshold is never
-relaxed on detach (a stale, lower value only enlarges the radius —
-sound, and it keeps detach O(1)); per-radio configs are assumed fixed
-after attach, except transmit power, which enters per-sender radii at
-query time.
+threshold ever attached to the band, and the culling margin — the
+channel instead maintains a :class:`repro.phy.spatial.SpatialIndex`
+over attached radios and sweeps only the radios inside the sender's
+reach disk.  The choice is taken once per channel, from its topology,
+by :func:`repro.phy.spatial.grid_pays_off` (at
+:meth:`repro.net.network.Network.finalize`, or lazily at the first
+transmission) and then frozen.  Every radio the grid skips would have
+failed the cull test, and every candidate still runs the exact cull
+test, so per-node outcomes are bit-identical to the exhaustive sweep;
+only the ``channel/spatial_*`` counters record the difference.
+Candidates are re-sorted into attach order before delivery, preserving
+the notification order contract.  The grid needs an active culling
+margin — with ``cull_margin_db=None`` there is no sound radius, and the
+exhaustive loop always runs.  The weakest threshold is never relaxed on
+detach (a stale, lower value only enlarges the radius — sound, and it
+keeps detach O(1)); per-radio configs are assumed fixed after attach,
+except transmit power, which enters per-sender radii at query time.
 
 Linear-domain power caches (the frame hot path)
 -----------------------------------------------
@@ -108,11 +109,12 @@ from typing import (
     TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple, Union, ValuesView,
 )
 
+from repro.phy import spatial  # grid_pays_off via the module: tests patch it
 from repro.phy.propagation import LogNormalShadowing
 from repro.phy.spatial import SpatialIndex, record_grid_built, record_reach_radius
 from repro.sim.engine import Simulator
 from repro.sim.trace import TraceRecorder
-from repro.util.hotpath import hotpath_enabled, spatial_enabled, vector_enabled
+from repro.util.hotpath import hotpath_enabled
 from repro.util.rng import RngStreams
 from repro.util.units import db_to_ratio, dbm_to_mw
 
@@ -253,8 +255,6 @@ class Channel:
         air_latency_ns: int = 1_000,
         registry=None,
         cull_margin_db: Union[float, str, None] = None,
-        vector: Optional[bool] = None,
-        spatial: Optional[bool] = None,
     ) -> None:
         if shadowing_mode not in SHADOWING_MODES:
             raise ValueError(
@@ -299,23 +299,19 @@ class Channel:
         self._attach_seq: Dict[int, int] = {}
         self._next_attach_seq = 0
         self._active: List[Transmission] = []
-        #: Spatial candidate generation (``REPRO_SPATIAL``; see
-        #: repro.phy.spatial).  An explicit ``spatial`` argument wins
-        #: over the environment knob.  Requires an active culling margin
-        #: — without one there is no sound reach radius, so the knob is
-        #: inert and the exhaustive sweep runs unchanged.
-        use_spatial = spatial_enabled() if spatial is None else spatial
-        self._spatial_pending = bool(use_spatial) and self.cull_margin_db is not None
-        #: The grid itself, built lazily at the first transmission (cell
-        #: sizing needs the topology extent) or eagerly via
-        #: :meth:`prepare_spatial`.
+        #: True until the grid-vs-exhaustive choice is taken (see
+        #: :meth:`prepare_spatial`).  Without a culling margin there is
+        #: no sound reach radius, so the exhaustive sweep is the only
+        #: option and nothing is left to decide.
+        self._grid_pending = self.cull_margin_db is not None
+        #: The grid, or None while undecided or when the sweep won.
         self._spatial: Optional[SpatialIndex] = None
         #: Weakest ``min(noise_floor, T_cs)`` ever attached to the band:
         #: the threshold the reach radius must stay sound against.
         #: Monotone non-increasing — never relaxed on detach (a stale,
         #: lower value only enlarges radii; see the module docstring).
         self._weakest_threshold_dbm = math.inf
-        #: Strongest attach-time transmit power (cell-size heuristic).
+        #: Strongest attach-time transmit power (grid choice and cell size).
         self._max_tx_power_dbm = -math.inf
         #: Memoized reach radius per transmit power; cleared whenever
         #: the weakest threshold tightens.
@@ -342,16 +338,6 @@ class Channel:
         #: Counters for diagnostics and tests.
         self.frames_sent = 0
         self.links_culled = 0
-        #: Struct-of-arrays backend (``REPRO_VECTOR``; see repro.phy.vector).
-        #: An explicit ``vector`` argument wins over the environment knob.
-        #: Constructed lazily-imported so the scalar path never touches
-        #: the module (numpy is optional for it).
-        self._vector_backend = None
-        use_vector = vector_enabled() if vector is None else vector
-        if use_vector:
-            from repro.phy.vector import VectorBackend
-
-            self._vector_backend = VectorBackend(self)
         if registry is not None:
             self.register_counters(registry)
 
@@ -370,42 +356,34 @@ class Channel:
         """Registry-source view of this band's counters.
 
         ``culled_links`` counts per-radio notifications skipped by
-        below-floor culling; ``cull_margin_db`` is the resolved margin
-        (``-1.0`` when culling is off).
+        below-floor culling.  Settings of a disabled feature are
+        omitted, never reported as sentinels: ``cull_margin_db`` (the
+        resolved margin) appears only while culling is on, and the grid
+        geometry only on a band that chose the grid.
         """
-        backend = self._vector_backend
-        grid = self._spatial
-        return {
+        counters = {
             "frames_sent": self.frames_sent,
             "active_transmissions": len(self._active),
             "radios": len(self._radios_by_id),
             "culled_links": self.links_culled,
-            "cull_margin_db": (
-                self.cull_margin_db if self.cull_margin_db is not None else -1.0
-            ),
-            # Vector-backend activity (0 when the scalar path is active):
-            # batches = frames evaluated through the array path, links =
-            # surviving receiver evaluations those frames produced.
-            "vector_batches": backend.batches if backend is not None else 0,
-            "vector_links": backend.links if backend is not None else 0,
-            # Spatial-index activity (zeros when the grid is off):
+            # Spatial-index activity (zeros on the exhaustive path):
             # queries = grid lookups, candidates = radios those lookups
             # returned (after sender exclusion), skipped = attached
             # radios the queries never visited.  Every skipped radio is
-            # a link the cull test would have rejected, and both paths
-            # charge grid skips into ``culled_links`` *per frame*, so
-            # that counter stays identical to the exhaustive path's.
-            # The spatial_* counters themselves tick per grid query —
-            # scalar mode queries every frame, the vector backend once
-            # per cached plan build — so they are mode-dependent
-            # diagnostics (like ``vector_batches``), not
-            # equivalence-checked.
+            # a link the cull test would have rejected, and grid skips
+            # are charged into ``culled_links`` per frame, so that
+            # counter stays identical to the exhaustive path's.
             "spatial_queries": self.spatial_queries,
             "spatial_candidates": self.spatial_candidates,
             "spatial_skipped": self.spatial_skipped,
-            "spatial_cell_size_m": grid.cell_size_m if grid is not None else -1.0,
-            "spatial_cells": grid.cell_count if grid is not None else 0,
         }
+        if self.cull_margin_db is not None:
+            counters["cull_margin_db"] = self.cull_margin_db
+        grid = self._spatial
+        if grid is not None:
+            counters["spatial_cell_size_m"] = grid.cell_size_m
+            counters["spatial_cells"] = grid.cell_count
+        return counters
 
     # ------------------------------------------------------------------
     # Topology management
@@ -436,8 +414,6 @@ class Channel:
         if self._spatial is not None:
             position = radio.position
             self._spatial.add(radio.radio_id, position.x, position.y)
-        if self._vector_backend is not None:
-            self._vector_backend.rebuild()
         radio.on_attached()
 
     def detach(self, radio: "Radio") -> None:
@@ -470,8 +446,6 @@ class Channel:
             # Memory hygiene only: substream() memoizes per key, so a
             # re-attached radio gets the identical generator back.
             del self._link_rng_memo[pair]
-        if self._vector_backend is not None:
-            self._vector_backend.rebuild()
         radio.on_detached()
 
     @property
@@ -525,8 +499,6 @@ class Channel:
             if radio is not None:  # detach scrubs the grid itself
                 position = radio.position  # move_to updated it already
                 self._spatial.move(radio_id, position.x, position.y)
-        if self._vector_backend is not None:
-            self._vector_backend.on_radio_moved(radio_id)
 
     def on_radio_power_changed(self, radio_id: int) -> None:
         """Invalidate everything tx-power-dependent for ``radio_id``.
@@ -537,14 +509,9 @@ class Channel:
         encode the old transmit power, but ``per_link`` shadowing draws
         are a property of the *link*, not the power, and must survive —
         redrawing them would silently change physics with the RNG.
-        The vector backend's row/plan invalidation is position/power
-        agnostic (it refills from current config without consuming
-        draws), so it is shared with the moved path.
         """
         self._mean_rx_cache.invalidate(radio_id)
         self._link_rx_mw.invalidate(radio_id)
-        if self._vector_backend is not None:
-            self._vector_backend.on_radio_moved(radio_id)
 
     @property
     def active_transmissions(self) -> List[Transmission]:
@@ -552,68 +519,48 @@ class Channel:
         return list(self._active)
 
     # ------------------------------------------------------------------
-    # Spatial candidate generation (REPRO_SPATIAL; see repro.phy.spatial)
+    # Spatial candidate generation (see repro.phy.spatial)
     # ------------------------------------------------------------------
     @property
-    def spatial_index(self) -> Optional[SpatialIndex]:
-        """The hash grid, or None (off, or not yet built)."""
+    def spatial_grid(self) -> Optional[SpatialIndex]:
+        """The hash grid, or None (undecided, or the sweep was chosen)."""
         return self._spatial
 
-    @property
-    def spatial_active(self) -> bool:
-        """True when spatial candidate generation will be used."""
-        return self._spatial_pending
-
     def prepare_spatial(self) -> Optional[SpatialIndex]:
-        """Eagerly build the grid (idempotent; None when spatial is off).
+        """Take the grid-vs-exhaustive choice now; returns the grid or None.
 
+        Idempotent: the first call with radios attached decides, later
+        calls return the frozen outcome.
         :meth:`repro.net.network.Network.finalize` calls this once the
-        topology is complete so the cell-size heuristic sees the full
-        extent and manifests/counters report the grid before traffic
-        starts.  Without it the first transmission builds the grid
-        lazily from whatever is attached at that point — still sound
-        (cell size is perf-only), possibly less well sized.
+        topology is complete, so the choice sees the full extent and
+        manifests/counters report the grid before traffic starts.
+        Without it the first transmission decides from whatever is
+        attached at that point — still sound (the choice is perf-only),
+        possibly a worse fit.
         """
-        return self._ensure_spatial()
-
-    def _ensure_spatial(self) -> Optional[SpatialIndex]:
-        grid = self._spatial
-        if grid is not None or not self._spatial_pending:
-            return grid
-        radios = self._radios_by_id
-        if not radios:
-            return None  # defer until something is attached
-        grid = SpatialIndex(self._resolve_cell_size())
-        for radio in radios.values():
-            position = radio.position
-            grid.add(radio.radio_id, position.x, position.y)
-        self._spatial = grid
-        record_grid_built(grid.cell_size_m)
-        return grid
-
-    def _resolve_cell_size(self) -> float:
-        """Cell edge for the grid: reach radius, clamped to the extent.
-
-        A cell the size of the strongest transmitter's reach radius
-        makes a query touch ~9 cells regardless of N; clamping to the
-        topology's larger axis span keeps a floor smaller than the
-        radius from degenerating below one cell of useful resolution
-        (it becomes a 1–2 cell grid ≡ the exhaustive sweep).  Frozen at
-        first build: radios attached later may shift the extent or the
-        power maximum, which only affects constants, never soundness —
-        per-sender query radii always come from :meth:`_reach_radius`.
-        """
-        reach = self.propagation.reach_radius_m(
-            self._max_tx_power_dbm,
-            self._weakest_threshold_dbm,
-            self.cull_margin_db,
-        )
-        xs = [r.position.x for r in self._radios_by_id.values()]
-        ys = [r.position.y for r in self._radios_by_id.values()]
-        extent = max(max(xs) - min(xs), max(ys) - min(ys))
-        if extent > 0.0:
-            return min(reach, extent)
-        return reach
+        if self._grid_pending and self._radios_by_id:
+            self._grid_pending = False
+            reach = self.propagation.reach_radius_m(
+                self._max_tx_power_dbm,
+                self._weakest_threshold_dbm,
+                self.cull_margin_db,
+            )
+            radios = self._radios_by_id.values()
+            xs = [r.position.x for r in radios]
+            ys = [r.position.y for r in radios]
+            extent = max(max(xs) - min(xs), max(ys) - min(ys))
+            if spatial.grid_pays_off(extent, reach):
+                # Cells one reach radius wide: a query touches ~9 cells
+                # regardless of N.  Radios attached later may change the
+                # extent or the power maximum; that only affects
+                # constants, never soundness — per-sender query radii
+                # always come from :meth:`_reach_radius`.
+                grid = SpatialIndex(reach)
+                for radio in radios:
+                    grid.add(radio.radio_id, radio.position.x, radio.position.y)
+                self._spatial = grid
+                record_grid_built(grid.cell_size_m)
+        return self._spatial
 
     def _reach_radius(self, sender: "Radio") -> float:
         """The sender's sound culling radius (memoized per tx power)."""
@@ -637,9 +584,10 @@ class Channel:
         produces, keeping notification order — and therefore every
         downstream outcome — bit-identical.
         """
-        grid = self._spatial or self._ensure_spatial()
         position = sender.position
-        ids = grid.query_disk(position.x, position.y, self._reach_radius(sender))
+        ids = self._spatial.query_disk(
+            position.x, position.y, self._reach_radius(sender)
+        )
         self.spatial_queries += 1
         sender_id = sender.radio_id
         ids = [i for i in ids if i != sender_id]
@@ -677,14 +625,7 @@ class Channel:
         Radios whose mean received power sits ``cull_margin_db`` below
         both their noise floor and their carrier-sense threshold are
         skipped entirely (no draw, no ``rx_power_mw`` entry, no events).
-
-        With the vector backend active the whole receiver sweep —
-        culling, power draws, masks, delivery — runs as one batched
-        pass in :meth:`repro.phy.vector.VectorBackend.transmit`;
-        per-node outcomes are bit-identical either way.
         """
-        if self._vector_backend is not None:
-            return self._vector_backend.transmit(sender, frame)
         duration = self.timing.frame_airtime_ns(frame)
         tx = Transmission(frame, sender, self.sim.now, self.sim.now + duration)
         self._active.append(tx)
@@ -694,7 +635,9 @@ class Channel:
         schedule = self.sim.schedule
         culled = 0
         receivers: List[Tuple["Radio", float]] = []
-        if self._spatial_pending:
+        if self._grid_pending:
+            self.prepare_spatial()
+        if self._spatial is not None:
             # Grid pre-filter: sweep only the sender's reach disk.  The
             # radios skipped here are exactly radios the cull test below
             # would have rejected (reach-radius soundness), so they are
@@ -754,16 +697,7 @@ class Channel:
             self.trace.record("channel", "tx-end", frame=tx.frame.describe())
         latency = self.air_latency_ns
         radios_by_id = self._radios_by_id
-        if self._vector_backend is not None:
-            # Batched end-of-air: one coalesced event (or inline call at
-            # zero latency), mirroring the hot path's event economy.
-            if not latency:
-                self._vector_backend.deliver_air_end(tx)
-            elif tx.rx_power_mw:
-                self.sim.schedule(
-                    latency, self._vector_backend.deliver_air_end, tx
-                )
-        elif latency and self._hotpath:
+        if latency and self._hotpath:
             if tx.rx_power_mw:
                 # Same coalescing argument as in transmit(): the end
                 # notifications are back-to-back either way.

@@ -111,42 +111,6 @@ class LogNormalShadowing:
         """Expected received power (no shadowing draw) in dBm."""
         return tx_power_dbm - self.path_loss_db(distance_m)
 
-    def mean_rx_dbm_batch(
-        self, tx_power_dbm: float, distances_m: np.ndarray
-    ) -> np.ndarray:
-        """Vectorized :meth:`mean_rx_dbm` over an array of distances.
-
-        Uses ``numpy.log10``, which on SIMD-dispatched numpy builds can
-        differ from ``math.log10`` in the last ULP — so this helper
-        serves analytics and property tests, **not** the equivalence-
-        critical channel fill (the vector backend fills its mean-power
-        rows through the scalar expressions precisely so its results
-        stay bit-identical to the scalar path; see
-        :mod:`repro.phy.vector`).
-        """
-        d = np.maximum(np.asarray(distances_m, dtype=np.float64),
-                       self.reference_distance_m)
-        loss = self._reference_loss_db + 10.0 * self.alpha * np.log10(
-            d / self.reference_distance_m
-        )
-        return tx_power_dbm - loss
-
-    def shadowing_block(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """``count`` consecutive shadowing realizations from one stream.
-
-        Bit-identical to ``count`` successive :meth:`shadowing_db` calls
-        on the same generator: numpy's array fill consumes the
-        underlying bit stream exactly as repeated scalar draws do
-        (pinned by ``tests/test_vector_equivalence.py``).  The vector
-        channel backend refills its per-link draw buffers through this,
-        amortizing the per-call generator overhead over a whole block.
-        """
-        if count <= 0:
-            raise ValueError(f"block size must be positive, got {count}")
-        if self.sigma_db <= 0.0:
-            return np.zeros(count, dtype=np.float64)
-        return rng.normal(0.0, self.sigma_db, count)
-
     def shadowing_db(self, rng: np.random.Generator) -> float:
         """One shadowing realization ``X_sigma`` in dB (0.0 when sigma is 0).
 

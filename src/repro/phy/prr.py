@@ -38,20 +38,6 @@ def _standard_normal_cdf(x: float) -> float:
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
 
 
-def _standard_normal_cdf_batch(x):
-    """Vectorized Phi over a numpy array.
-
-    ``scipy.special.erf`` is imported lazily so the scalar hot path keeps
-    its no-scipy property.  SIMD ``erf`` can differ from ``math.erf`` in
-    the last ULP, so batch results agree with the scalar model to
-    ``allclose`` precision, not bit-for-bit (documented in
-    ``docs/simulator.md``; pinned by ``tests/test_vector_kernel.py``).
-    """
-    from scipy.special import erf
-
-    return 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
-
-
 @dataclass(frozen=True)
 class PrrModel:
     """Packet-reception and carrier-sense probability calculator.
@@ -93,41 +79,6 @@ class PrrModel:
             # Degenerate (no shadowing): step function on the SIR margin.
             return 0.0 if margin >= 0.0 else 1.0
         return 1.0 - _standard_normal_cdf(margin / (math.sqrt(2.0) * sigma))
-
-    def prr_batch(self, link_distances_m, interferer_distances_m):
-        """Eq. (3) over aligned arrays of link/interferer distances.
-
-        The array counterpart of :meth:`prr` for sweeps over many links
-        at once (analytics, CO-MAP what-if scans).  Agreement with the
-        scalar model is ``allclose``-level, not bit-identical — see
-        :func:`_standard_normal_cdf_batch`.
-        """
-        import numpy as np
-
-        d = np.asarray(link_distances_m, dtype=np.float64)
-        r = np.asarray(interferer_distances_m, dtype=np.float64)
-        if np.any(d <= 0.0) or np.any(r <= 0.0):
-            raise ValueError("distances must be positive")
-        sigma = self.propagation.sigma_db
-        alpha = self.propagation.alpha
-        margin = self.t_sir_db + 10.0 * alpha * np.log10(d / r)
-        if sigma == 0.0:
-            return np.where(margin >= 0.0, 0.0, 1.0)
-        return 1.0 - _standard_normal_cdf_batch(margin / (math.sqrt(2.0) * sigma))
-
-    def carrier_sense_miss_batch(self, distances_m, tx_power_dbm, t_cs_dbm):
-        """Eq. (4) over an array of distances (array analogue of
-        :meth:`carrier_sense_miss_probability`; ``allclose``-level)."""
-        import numpy as np
-
-        r = np.asarray(distances_m, dtype=np.float64)
-        if np.any(r <= 0.0):
-            raise ValueError("distances must be positive")
-        sigma = self.propagation.sigma_db
-        mean_rx = self.propagation.mean_rx_dbm_batch(tx_power_dbm, r)
-        if sigma == 0.0:
-            return np.where(mean_rx < t_cs_dbm, 1.0, 0.0)
-        return _standard_normal_cdf_batch((t_cs_dbm - mean_rx) / sigma)
 
     def effective_interferer_distance(self, interferer_distances_m) -> float:
         """Collapse several interferers into one equivalent distance.

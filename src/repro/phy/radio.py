@@ -82,13 +82,6 @@ class Radio:
         self.channel = channel
         self.sim = channel.sim
         self.mac = None  # bound via bind_mac()
-        #: Energy-change dispatch target for the vector backend's batch
-        #: delivery: the bound MAC's ``on_energy_changed`` — or ``None``
-        #: when that handler is the no-op PHY hook (marked ``_phy_noop``),
-        #: letting the batch loop skip both the call and the energy
-        #: argument it would have computed.  Calling a no-op versus not
-        #: calling it is observationally identical.
-        self._energy_cb = None
         self._cs_threshold_mw = dbm_to_mw(config.cs_threshold_dbm)
         self._noise_mw = dbm_to_mw(config.noise_floor_dbm)
         self._in_air: dict = {}  # Transmission -> rx power mW
@@ -119,11 +112,6 @@ class Radio:
     def bind_mac(self, mac) -> None:
         """Attach the MAC entity that receives PHY indications."""
         self.mac = mac
-        handler = getattr(mac, "on_energy_changed", None)
-        if handler is None or getattr(handler, "_phy_noop", False):
-            self._energy_cb = None
-        else:
-            self._energy_cb = handler
 
     @property
     def attached(self) -> bool:
@@ -170,8 +158,8 @@ class Radio:
 
         Each radio owns its :class:`RadioConfig` instance, so the
         mutation is node-local.  Cached channel state that encodes the
-        old power (mean rx powers, composed per-link powers, vector
-        rows) is invalidated; per-link shadowing draws are untouched.
+        old power (mean rx powers, composed per-link powers) is
+        invalidated; per-link shadowing draws are untouched.
         No-op at the current power, so repeated caps/restores to the
         same value cost nothing.
         """
@@ -272,12 +260,6 @@ class Radio:
 
     # ------------------------------------------------------------------
     # Receive path (channel callbacks)
-    #
-    # SYNC CONTRACT: repro.phy.vector's batch delivery loops
-    # (deliver_air_start / deliver_air_end) are field-for-field inlined
-    # mirrors of on_air_start / on_air_end below.  Any behavioral change
-    # here must be replicated there, or the vector equivalence suite
-    # (tests/test_vector_equivalence.py) will catch the divergence.
     # ------------------------------------------------------------------
     def on_air_start(self, tx: Transmission, power_mw: float) -> None:
         """A foreign transmission began; update CCA and reception state."""

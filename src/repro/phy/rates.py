@@ -74,18 +74,6 @@ def sir_threshold_ratio(rate: Rate) -> float:
     return 10.0 ** (rate.sir_threshold_db / 10.0)
 
 
-@lru_cache(maxsize=None)
-def rate_constants(rate: Rate) -> Tuple[float, float]:
-    """``(sensitivity_mw, sir_threshold_ratio)`` for ``rate``, cached.
-
-    One lookup instead of two on the per-frame path: the vector channel
-    backend fetches both linear-domain constants for the frame's rate
-    before sweeping the receiver arrays.  Values come from the cached
-    scalar helpers, so they are bit-identical to the scalar path's.
-    """
-    return sensitivity_mw(rate), sir_threshold_ratio(rate)
-
-
 class RateTable:
     """An ordered set of rates (slowest first) with lookup helpers."""
 

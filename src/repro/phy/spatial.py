@@ -1,17 +1,30 @@
 """Uniform hash-grid spatial index: O(density) candidate generation.
 
-``REPRO_SPATIAL=1`` (see :mod:`repro.util.hotpath`) bounds the channel's
-per-frame receiver sweep by *local density* instead of population.  The
-below-floor cull (PR 3) already skips draws and events for receivers
-whose mean power sits ``cull_margin_db`` below both thresholds, but the
-exhaustive loop still *visits* every attached radio to run that test —
-O(N) dict lookups and float compares per frame, the asymptotic wall for
-city-scale floors.  This module replaces the sweep's domain: radios hash
-into square grid cells keyed by ``(floor(x / cell), floor(y / cell))``,
-and a sender queries only the cells overlapping the disk of its *reach
-radius* — the distance at which the propagation mean provably falls
+The grid bounds the channel's per-frame receiver sweep by *local
+density* instead of population.  The below-floor cull already skips
+draws and events for receivers whose mean power sits
+``cull_margin_db`` below both thresholds, but the exhaustive loop still
+*visits* every attached radio to run that test — O(N) dict lookups and
+float compares per frame, the asymptotic wall for city-scale floors.
+This module replaces the sweep's domain: radios hash into square grid
+cells keyed by ``(floor(x / cell), floor(y / cell))``, and a sender
+queries only the cells overlapping the disk of its *reach radius* — the
+distance at which the propagation mean provably falls
 ``cull_margin_db`` below the weakest threshold on the channel (see
 :meth:`repro.phy.propagation.LogNormalShadowing.reach_radius_m`).
+
+When the grid is used
+---------------------
+
+Each channel decides once, from its own topology, through
+:func:`grid_pays_off`: the grid is built only when culling is active
+and the floor's larger axis span exceeds
+:data:`GRID_MIN_EXTENT_REACHES` reach radii of the strongest sender.
+Cells are one reach radius wide and a query visits the 3x3 block
+around the sender, so on a narrower floor every query returns (nearly)
+every radio and the grid is pure bookkeeping overhead.  The paper's
+floors sit far below the boundary (extent/reach <= 0.14); a row of
+cells kilometres apart sits far above it.
 
 Soundness over tightness
 ------------------------
@@ -23,22 +36,16 @@ survivors.  That holds by construction — the reach radius is a sound
 outer bound on the survivor disk, and the query visits the full cell
 bounding box of that disk (corner cells included).  Per-node counters,
 ``rx_power_mw`` maps, and per-flow goodput are therefore bit-identical
-to the exhaustive path (culled links consume no RNG draws — PR 3's
-per-link substreams — so *not visiting* a culled link is
-indistinguishable from visiting and skipping it).  The contract is
-pinned by ``tests/test_spatial_equivalence.py``.
+to the exhaustive path (culled links consume no RNG draws — per-link
+substreams — so *not visiting* a culled link is indistinguishable from
+visiting and skipping it), which makes the grid-vs-exhaustive choice a
+pure performance decision.  The contract is pinned by
+``tests/test_spatial_equivalence.py``, which forces each side by
+patching :func:`grid_pays_off`.
 
 Maintenance is incremental through the channel's existing hooks:
 ``attach`` inserts, ``detach`` removes, ``on_radio_moved`` rehashes one
-radio — all O(1).  ``version`` increments on every mutation so derived
-structures (the vector backend's sparse per-sender plans) can validate
-lazily instead of being invalidated eagerly.
-
-Cell sizing is a pure performance knob (correctness never depends on
-it): the channel sizes cells at the reach radius of the strongest
-transmitter, clamped to the topology extent — a query then touches ~9
-cells regardless of N, and a one-cell grid (floor smaller than the
-reach radius) degrades gracefully to the exhaustive sweep.
+radio — all O(1).
 """
 
 from __future__ import annotations
@@ -46,9 +53,23 @@ from __future__ import annotations
 from math import floor, inf
 from typing import Dict, List, Set, Tuple
 
-from repro.util.hotpath import spatial_enabled  # noqa: F401  (re-export)
-
 _CellKey = Tuple[int, int]
+
+#: The grid pays off only on floors wider than this many reach radii.
+GRID_MIN_EXTENT_REACHES = 3.0
+
+
+def grid_pays_off(extent_m: float, reach_m: float) -> bool:
+    """True when a grid of ``reach_m`` cells beats the exhaustive sweep.
+
+    ``extent_m`` is the topology's larger axis span and ``reach_m`` the
+    strongest sender's reach radius.  A query visits the 3x3 cells
+    around its sender, which already cover a floor no wider than three
+    radii — the grid would then skip nothing and only add its upkeep.
+    The choice is perf-only (both sides are bit-identical), so tests
+    patch this function to force either side.
+    """
+    return extent_m > GRID_MIN_EXTENT_REACHES * reach_m
 
 
 class SpatialIndex:
@@ -56,20 +77,15 @@ class SpatialIndex:
 
     Cells are created on first insert and dropped when emptied, so
     memory is O(members + non-empty cells) regardless of the coordinate
-    range (city floors hash as cheaply as office floors).  Membership
-    mutations bump :attr:`version`; readers that cache per-member
-    derived state (the vector backend's sparse plans) compare versions
-    instead of subscribing to invalidation callbacks.
+    range (city floors hash as cheaply as office floors).
     """
 
-    __slots__ = ("cell_size_m", "version", "_cell_of", "_cells")
+    __slots__ = ("cell_size_m", "_cell_of", "_cells")
 
     def __init__(self, cell_size_m: float) -> None:
         if not cell_size_m > 0.0:
             raise ValueError(f"cell size must be positive, got {cell_size_m}")
         self.cell_size_m = float(cell_size_m)
-        #: Bumped on every add/remove/move; lets derived caches validate lazily.
-        self.version = 0
         self._cell_of: Dict[int, _CellKey] = {}
         self._cells: Dict[_CellKey, Set[int]] = {}
 
@@ -95,7 +111,6 @@ class SpatialIndex:
         key = self._key(x, y)
         self._cell_of[member_id] = key
         self._cells.setdefault(key, set()).add(member_id)
-        self.version += 1
 
     def remove(self, member_id: int) -> None:
         """Drop a member; removing an unknown id is an error."""
@@ -106,7 +121,6 @@ class SpatialIndex:
         bucket.discard(member_id)
         if not bucket:
             del self._cells[key]
-        self.version += 1
 
     def move(self, member_id: int, x: float, y: float) -> None:
         """Rehash a member to its new position (no-op within its cell)."""
@@ -115,10 +129,6 @@ class SpatialIndex:
             raise ValueError(f"member {member_id} is not indexed")
         new = self._key(x, y)
         if new == old:
-            # Same cell: membership unchanged, but consumers caching
-            # position-derived state (mean-power rows) must still see a
-            # new version — the *position* moved even if the cell didn't.
-            self.version += 1
             return
         bucket = self._cells[old]
         bucket.discard(member_id)
@@ -126,7 +136,6 @@ class SpatialIndex:
             del self._cells[old]
         self._cell_of[member_id] = new
         self._cells.setdefault(new, set()).add(member_id)
-        self.version += 1
 
     def query_disk(self, x: float, y: float, radius_m: float) -> List[int]:
         """Ids of all members in cells overlapping the disk (a superset).
@@ -222,14 +231,16 @@ def reset_spatial_stats() -> None:
 def spatial_manifest_block() -> Dict[str, object]:
     """The ``spatial`` block recorded in run manifests.
 
-    Reports the mode flag plus cell-size / reach-radius aggregates of
-    every grid built *in this process* since the last reset.  Sweep
-    workers in a process pool size their own grids; their stats are not
-    shipped back to the parent — the block attributes the parent-side
-    configuration, and per-channel counters (``channel/spatial_*``)
-    carry the per-run detail.
+    Reports how many grids were built *in this process* since the last
+    reset, plus cell-size / reach-radius aggregates when any were — the
+    path actually taken, since each channel chooses for itself.  Sweep
+    workers in a process pool build their own grids; their stats are
+    not shipped back to the parent, so the block describes the parent's
+    runs, and per-channel counters (``channel/spatial_*``) carry the
+    per-run detail.  Archived manifests carry an older
+    ``{"enabled": ...}`` form of this block; both load unchanged.
     """
-    block: Dict[str, object] = {"enabled": spatial_enabled()}
+    block: Dict[str, object] = {"grids_built": _cell_sizes.count}
     if _cell_sizes.count:
         block["cell_size_m"] = _cell_sizes.as_dict()
     if _reach_radii.count:

@@ -1,180 +1,72 @@
-"""Execution-mode knobs: a small registry of env-gated feature toggles.
+"""The hot-path knob: cached frame math vs. full re-derivation.
 
-The simulator has three performance modes, all read from the environment
-once and all overridable programmatically:
+``REPRO_HOTPATH`` (default **on**) gates the PHY's per-frame caches —
+linear-domain (mW) mean received powers per (tx, rx) pair, per-rate
+sensitivity/SIR constants, the radio's in-air energy memo — and the
+channel's coalesced air notifications.  The discipline is *cache,
+never re-derive*: every cached value is produced by exactly the same
+expression the uncached path evaluates, so enabling the caches is
+bit-identical to recomputing from scratch.  ``REPRO_HOTPATH=off`` (or
+``0``/``false``/``no``) force-disables all of them, giving a slow
+reference path used by the equivalence tests in
+``tests/test_hotpath_equivalence.py`` and as the baseline of
+``benchmarks/bench_engine_throughput.py``'s hot-path bench.
 
-``hotpath`` (``REPRO_HOTPATH``, default **on**)
-    Cached hot-path math vs. full re-derivation.  The frame hot path
-    caches values that are pure functions of inputs that rarely change —
-    linear-domain (mW) mean received powers per (tx, rx) pair, per-rate
-    sensitivity/SIR constants, per-(rate, size) frame airtimes.  The
-    discipline is *cache, never re-derive*: every cached value is
-    produced by exactly the same expression the uncached path evaluates,
-    so enabling the caches is bit-identical to recomputing from scratch.
-    ``REPRO_HOTPATH=off`` (or ``0``/``false``/``no``) force-disables all
-    of them, giving a slow reference path used by the equivalence tests
-    in ``tests/test_hotpath_equivalence.py`` and as the baseline of
-    ``benchmarks/bench_engine_throughput.py``'s hot-path bench.
+The flag is read from the environment once (consumers sit on per-frame
+paths where an ``os.environ`` lookup per call would itself be a cost)
+and can be overridden programmatically — ``None`` restores deference
+to the environment.  Objects that sample the flag at construction time
+(``Channel``, ``Radio``) must be rebuilt to observe a change.
 
-``vector`` (``REPRO_VECTOR``, default **off**)
-    The struct-of-arrays channel backend (:mod:`repro.phy.vector`): per
-    transmitted frame, all candidate receivers are evaluated in one
-    batched pass — dense mean-power rows, array-computed culling,
-    bulk-composed per-link shadowing draws — instead of the
-    per-receiver scalar loop.  Requires numpy (``pip install
-    repro[vector]``); enabling it without numpy raises ``RuntimeError``
-    at channel construction.  Equivalence against the scalar path is
-    pinned by ``tests/test_vector_equivalence.py``.
-
-``spatial`` (``REPRO_SPATIAL``, default **off**)
-    Hash-grid candidate generation (:mod:`repro.phy.spatial`): per
-    transmitted frame the channel queries a uniform grid over attached
-    radios with a per-sender *reach radius* derived from the propagation
-    model, visiting only the radios the below-floor cull could possibly
-    keep instead of every attached radio.  Requires an active
-    ``cull_margin_db`` (the reach radius is the cull boundary's
-    geometric preimage); with culling off the knob is inert and the
-    exhaustive loop runs unchanged.  Equivalence against the exhaustive
-    path is pinned by ``tests/test_spatial_equivalence.py``.
-
-All flags are read from the environment once (consumers sit on
-per-frame paths where an ``os.environ`` lookup per call would itself be
-a cost) and can be overridden programmatically — ``None`` restores
-deference to the environment.  Objects that sample a flag at
-construction time (``Channel``, ``Radio``) must be rebuilt to observe a
-change; the benches and equivalence tests construct one network per
-mode for exactly this reason.
+The other PHY execution choice — hash-grid candidate generation vs the
+exhaustive receiver sweep — is not a knob: each channel takes it from
+its own topology (:func:`repro.phy.spatial.grid_pays_off`).
 """
 
 from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional
+from typing import Iterator, Optional
 
 #: Environment knob: ``off``/``0``/``false``/``no`` disables hot-path caching.
 HOTPATH_ENV = "REPRO_HOTPATH"
 
-#: Environment knob: any other non-empty value (``1``/``on``/...) enables
-#: the vectorized channel backend.
-VECTOR_ENV = "REPRO_VECTOR"
-
-#: Environment knob: enables hash-grid spatial candidate generation.
-SPATIAL_ENV = "REPRO_SPATIAL"
-
-#: Values (lower-cased) that read as "disabled" for any mode knob.
+#: Values (lower-cased) that read as "disabled".
 _DISABLED_VALUES = ("off", "0", "false", "no")
 
-
-@dataclass
-class _Mode:
-    """One env-gated execution-mode flag.
-
-    ``cached`` holds the resolved state (``None`` = not yet read);
-    ``override`` pins the state programmatically (``None`` = defer to
-    the environment).
-    """
-
-    env: str
-    default: bool
-    override: Optional[bool] = None
-    cached: Optional[bool] = field(default=None, repr=False)
-
-    def enabled(self) -> bool:
-        if self.override is not None:
-            return self.override
-        if self.cached is None:
-            raw = os.environ.get(self.env, "").strip().lower()
-            if not raw:
-                self.cached = self.default
-            else:
-                self.cached = raw not in _DISABLED_VALUES
-        return self.cached
-
-    def set(self, enabled: Optional[bool]) -> None:
-        self.override = enabled
-        if enabled is None:
-            self.cached = None  # re-read the environment on next query
+#: Programmatic override (``None`` = defer to the environment).
+_override: Optional[bool] = None
+#: Resolved environment value (``None`` = not yet read).
+_from_env: Optional[bool] = None
 
 
-#: The registry.  New modes register here; consumers address them by name.
-_MODES: Dict[str, _Mode] = {
-    "hotpath": _Mode(env=HOTPATH_ENV, default=True),
-    "vector": _Mode(env=VECTOR_ENV, default=False),
-    "spatial": _Mode(env=SPATIAL_ENV, default=False),
-}
-
-
-def mode_enabled(name: str) -> bool:
-    """True when the named mode is active (override > env > default)."""
-    return _MODES[name].enabled()
-
-
-def set_mode(name: str, enabled: Optional[bool]) -> None:
-    """Override a mode programmatically.
-
-    ``True``/``False`` pin the state; ``None`` re-reads the environment
-    on the next :func:`mode_enabled` call.
-    """
-    _MODES[name].set(enabled)
-
-
-@contextmanager
-def mode_forced(name: str, enabled: bool) -> Iterator[None]:
-    """Pin a mode inside a block, restoring the prior override after."""
-    mode = _MODES[name]
-    previous = mode.override
-    mode.set(enabled)
-    try:
-        yield
-    finally:
-        mode.set(previous)
-
-
-# ----------------------------------------------------------------------
-# Named accessors (the stable public API)
-# ----------------------------------------------------------------------
 def hotpath_enabled() -> bool:
-    """True when hot-path caches are active (the default)."""
-    return mode_enabled("hotpath")
+    """True when hot-path caches are active (override > env > default on)."""
+    global _from_env
+    if _override is not None:
+        return _override
+    if _from_env is None:
+        raw = os.environ.get(HOTPATH_ENV, "").strip().lower()
+        _from_env = not raw or raw not in _DISABLED_VALUES
+    return _from_env
 
 
 def set_hotpath(enabled: Optional[bool]) -> None:
-    """Override the hot-path knob; ``None`` defers to the environment."""
-    set_mode("hotpath", enabled)
+    """Override the knob; ``None`` re-reads the environment on next query."""
+    global _override, _from_env
+    _override = enabled
+    if enabled is None:
+        _from_env = None
 
 
-def hotpath_forced(enabled: bool):
-    """Pin the hot-path knob inside a block, restoring after."""
-    return mode_forced("hotpath", enabled)
-
-
-def vector_enabled() -> bool:
-    """True when the vectorized channel backend is active (default off)."""
-    return mode_enabled("vector")
-
-
-def set_vector(enabled: Optional[bool]) -> None:
-    """Override the vector knob; ``None`` defers to the environment."""
-    set_mode("vector", enabled)
-
-
-def vector_forced(enabled: bool):
-    """Pin the vector knob inside a block, restoring after."""
-    return mode_forced("vector", enabled)
-
-
-def spatial_enabled() -> bool:
-    """True when hash-grid candidate generation is active (default off)."""
-    return mode_enabled("spatial")
-
-
-def set_spatial(enabled: Optional[bool]) -> None:
-    """Override the spatial knob; ``None`` defers to the environment."""
-    set_mode("spatial", enabled)
-
-
-def spatial_forced(enabled: bool):
-    """Pin the spatial knob inside a block, restoring after."""
-    return mode_forced("spatial", enabled)
+@contextmanager
+def hotpath_forced(enabled: bool) -> Iterator[None]:
+    """Pin the knob inside a block, restoring the prior override after."""
+    global _override
+    previous = _override
+    _override = enabled
+    try:
+        yield
+    finally:
+        _override = previous

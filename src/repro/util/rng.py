@@ -44,33 +44,6 @@ def derive_seed(base_seed: int, *key: Any) -> int:
     return int.from_bytes(digest[:8], "big") & ((1 << _SEED_BITS) - 1)
 
 
-def derive_seeds(base_seed: int, *key_prefix: Any, keys: Iterable[Any]) -> np.ndarray:
-    """Batched :func:`derive_seed`: one child seed per element of ``keys``.
-
-    Computes ``derive_seed(base_seed, *key_prefix, k)`` for every ``k``
-    in ``keys`` and returns them as a ``uint64`` array.  The shared
-    prefix is canonically encoded once, so deriving a whole row of
-    per-link seeds (the vector channel backend's
-    ``("shadowing", band, tx, rx)`` keys for one transmitter) costs one
-    SHA-256 per element but only one prefix encoding.  Bit-identical to
-    the scalar derivation element for element — pinned by the property
-    tests in ``tests/test_vector_kernel.py``.
-    """
-    prefix = ",".join(
-        _canon_str(v) for v in (int(base_seed),) + tuple(key_prefix)
-    )
-    mask = (1 << _SEED_BITS) - 1
-    out = [
-        int.from_bytes(
-            hashlib.sha256(f"t:[{prefix},{_canon_str(k)}]".encode("utf-8")).digest()[:8],
-            "big",
-        )
-        & mask
-        for k in keys
-    ]
-    return np.asarray(out, dtype=np.uint64)
-
-
 def _canonical(value: Any) -> bytes:
     """A byte encoding of ``value`` that is stable across runs/platforms."""
     return _canon_str(value).encode("utf-8")

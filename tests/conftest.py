@@ -1,7 +1,9 @@
 """Shared test fixtures and stub objects."""
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
+from unittest import mock
 
 import pytest
 
@@ -14,6 +16,22 @@ from repro.phy.rates import OFDM_RATES
 from repro.sim.engine import Simulator
 from repro.util.geometry import Point
 from repro.util.rng import RngStreams
+
+
+@contextmanager
+def grid_forced(enabled: bool):
+    """Force every channel deciding inside the block onto one sweep path.
+
+    The grid-vs-exhaustive choice is perf-only, so the differential
+    suites pin each side by patching the decision function itself
+    (:func:`repro.phy.spatial.grid_pays_off`) instead of through any
+    public setting.  A channel decides once — at ``Network.finalize``
+    or its first transmission — so the block must cover that moment.
+    """
+    with mock.patch(
+        "repro.phy.spatial.grid_pays_off", lambda extent_m, reach_m: enabled
+    ):
+        yield
 
 
 class StubMac:
@@ -78,10 +96,13 @@ def build_phy_world(
     capture: bool = True,
     cull_margin_db=None,
     air_latency_ns: int = 1_000,
-    vector: Optional[bool] = None,
     spatial: Optional[bool] = None,
 ) -> PhyWorld:
-    """Create radios at ``positions`` with stub MACs on one channel."""
+    """Create radios at ``positions`` with stub MACs on one channel.
+
+    ``spatial`` forces the channel's grid-vs-exhaustive choice (taken
+    right after the radios attach); ``None`` leaves it to the channel.
+    """
     sim = Simulator()
     channel = Channel(
         sim=sim,
@@ -91,8 +112,6 @@ def build_phy_world(
         shadowing_mode=shadowing_mode,
         cull_margin_db=cull_margin_db,
         air_latency_ns=air_latency_ns,
-        vector=vector,
-        spatial=spatial,
     )
     radios, macs = [], []
     for i, (x, y) in enumerate(positions):
@@ -110,6 +129,9 @@ def build_phy_world(
         radio.bind_mac(mac)
         radios.append(radio)
         macs.append(mac)
+    if spatial is not None:
+        with grid_forced(spatial):
+            channel.prepare_spatial()
     return PhyWorld(sim=sim, channel=channel, radios=radios, macs=macs)
 
 

@@ -2,14 +2,15 @@
 
 One canonical run per pinned scenario — Fig. 8 exposed terminal, Fig. 10
 office floor, and the sparse two-cell floor — captured under the
-**default** execution modes (hot path on, vector off, default culling)
-and committed as structured JSON under ``tests/golden/``.  The three
-equivalence suites (``test_hotpath_equivalence``,
-``test_channel_culling``, ``test_vector_equivalence``) each run only
-*their* variant and diff it against the fixture, instead of every suite
-re-simulating its own baseline inline: equivalence is transitive
-through the golden, each suite runs half the simulations it used to,
-and a regression in the default path itself is caught exactly once, by
+**default** execution path (hot path on, default culling, each channel
+choosing grid or exhaustive sweep itself) and committed as structured
+JSON under ``tests/golden/``.  The three equivalence suites
+(``test_hotpath_equivalence``, ``test_channel_culling``,
+``test_spatial_equivalence``) each run only *their* variant and diff it
+against the fixture, instead of every suite re-simulating its own
+baseline inline: equivalence is transitive through the golden, each
+suite runs half the simulations it used to, and a regression in the
+default path itself is caught exactly once, by
 :func:`assert_baseline_matches`.
 
 Fixtures store counters as structured JSON (lists of ints, flow keys as
@@ -35,7 +36,7 @@ from repro.experiments.topologies import (
     office_floor_topology,
 )
 from repro.net.network import Network
-from repro.util.hotpath import hotpath_forced, vector_forced
+from repro.util.hotpath import hotpath_forced
 
 #: Fixture schema version; bump on structural (not numerical) changes.
 SCHEMA = 1
@@ -108,9 +109,9 @@ def node_counters(net) -> Dict[str, Tuple[int, int, int, int]]:
 def snapshot(net, results) -> Dict[str, Any]:
     """The comparable observables of one finished run.
 
-    ``events_fired`` and the channel totals are metadata for
-    mode-specific assertions (event economy, vector activity), not part
-    of the equivalence diff — see :func:`diff`.
+    ``events_fired`` and the cull total are metadata for mode-specific
+    assertions (event economy, cull accounting), not part of the
+    equivalence diff — see :func:`diff`.
     """
     channels = net.channels.values()
     return {
@@ -123,20 +124,16 @@ def snapshot(net, results) -> Dict[str, Any]:
         },
         "events_fired": net.sim.events_fired,
         "links_culled": sum(ch.links_culled for ch in channels),
-        "vector_batches": sum(
-            ch.counters()["vector_batches"] for ch in channels
-        ),
-        "vector_links": sum(ch.counters()["vector_links"] for ch in channels),
     }
 
 
 def run_scenario(name: str, cull=None) -> Tuple[Any, Dict[str, Any]]:
     """Build and run ``name`` under the *caller's* current modes.
 
-    Returns ``(network, snapshot)``.  Variant suites pin their knob
-    (``hotpath_forced`` / ``vector_forced`` / the ``cull`` margin
-    override, e.g. ``"off"``) around this call and diff the snapshot
-    against the golden.
+    Returns ``(network, snapshot)``.  Variant suites pin their mode
+    (``hotpath_forced`` / ``tests.conftest.grid_forced`` / the ``cull``
+    margin override, e.g. ``"off"``) around this call and diff the
+    snapshot against the golden.
     """
     build, duration_s = SCENARIOS[name]
     built = build(cull)
@@ -146,7 +143,7 @@ def run_scenario(name: str, cull=None) -> Tuple[Any, Dict[str, Any]]:
 
 def capture(name: str) -> Dict[str, Any]:
     """One canonical default-mode run of ``name``, fixture-shaped."""
-    with hotpath_forced(True), vector_forced(False):
+    with hotpath_forced(True):
         _, snap = run_scenario(name)
     snap["schema"] = SCHEMA
     snap["scenario"] = name

@@ -10,9 +10,9 @@ counters, per-flow goodput, the full counter snapshot (modulo the
 all-zero ``csr/`` namespace), and even the engine's event count.
 
 A second suite pins mode-independence: the same C-SR floor must agree
-on physics counters across the whole execution-knob matrix
-(``REPRO_HOTPATH`` x ``REPRO_VECTOR`` x ``cull_margin_db``), and the
-sweep runner must be bit-identical across serial, pooled, and
+on physics counters across the whole execution-mode matrix
+(``REPRO_HOTPATH`` x grid-vs-exhaustive sweep x ``cull_margin_db``),
+and the sweep runner must be bit-identical across serial, pooled, and
 queue-resume execution.
 """
 
@@ -24,8 +24,9 @@ from repro.experiments.params import ns2_params
 from repro.experiments.parallel import SweepTask, run_tasks
 from repro.experiments.runner import _csr_floor_cell, run_csr_floor
 from repro.experiments.topologies import enterprise_floor_topology
-from repro.util.hotpath import hotpath_forced, vector_forced
+from repro.util.hotpath import hotpath_forced
 
+from tests.conftest import grid_forced
 from tests.goldens import node_counters
 
 BACKHAUL_NS = 200_000
@@ -103,12 +104,12 @@ class TestEmptyCoordinationEquivalence:
 
 
 class TestKnobMatrixAgreement:
-    """Physics counters agree across the execution-knob matrix."""
+    """Physics counters agree across the execution-mode matrix."""
 
     DURATION_S = 0.08
 
-    def _physics(self, hotpath, vector, cull):
-        with hotpath_forced(hotpath), vector_forced(vector):
+    def _physics(self, hotpath, grid, cull):
+        with hotpath_forced(hotpath), grid_forced(grid):
             built = _floor(
                 "csr", n_aps=4, backhaul_latency_ns=BACKHAUL_NS, cull=cull
             )
@@ -116,15 +117,16 @@ class TestKnobMatrixAgreement:
         return node_counters(built.network), results.per_flow_mbps()
 
     def test_modes_agree_on_physics(self):
-        baseline = self._physics(hotpath=True, vector=False, cull=None)
+        # The default floor keeps the exhaustive sweep (grid=False).
+        baseline = self._physics(hotpath=True, grid=False, cull=None)
         for hotpath in (True, False):
-            for vector in (True, False):
+            for grid in (True, False):
                 for cull in (None, "off"):
-                    if (hotpath, vector, cull) == (True, False, None):
+                    if (hotpath, grid, cull) == (True, False, None):
                         continue
-                    variant = self._physics(hotpath, vector, cull)
+                    variant = self._physics(hotpath, grid, cull)
                     assert variant == baseline, (
-                        f"hotpath={hotpath} vector={vector} cull={cull} "
+                        f"hotpath={hotpath} grid={grid} cull={cull} "
                         f"diverged from the default mode"
                     )
 

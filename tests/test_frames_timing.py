@@ -1,17 +1,21 @@
 """Frame formats and PHY timing arithmetic."""
 
+import contextlib
+
 import pytest
 
 from repro.mac.frames import (
     ACK_BYTES,
     BROADCAST,
     COMAP_HEADER_BYTES,
+    CTS_BYTES,
     MAC_DATA_OVERHEAD_BYTES,
     Frame,
     FrameType,
 )
 from repro.mac.timing import DSSS_TIMING, OFDM_TIMING, timing_for_rates
 from repro.phy.rates import DSSS_RATES, OFDM_RATES
+from repro.util.hotpath import hotpath_forced
 from repro.util.units import MICROSECOND
 
 
@@ -109,3 +113,36 @@ class TestTiming:
     def test_timing_for_rates(self):
         assert timing_for_rates(DSSS_RATES) is DSSS_TIMING
         assert timing_for_rates(OFDM_RATES) is OFDM_TIMING
+
+
+class TestAirtimeMemo:
+    """Airtimes are memoized whatever the hot-path knob says; every memo
+    entry must equal the direct expression it stands for."""
+
+    PAYLOADS = (1, 14, 100, 500, 1000, 1500, 2304)
+
+    @pytest.mark.parametrize("hotpath_off", [False, True])
+    @pytest.mark.parametrize(
+        "timing, rates", [(OFDM_TIMING, OFDM_RATES), (DSSS_TIMING, DSSS_RATES)]
+    )
+    def test_memo_equals_direct_expression(self, timing, rates, hotpath_off):
+        knob = hotpath_forced(False) if hotpath_off else contextlib.nullcontext()
+        with knob:
+            for rate in rates:
+                ack = timing.preamble_ns + rate.airtime_ns(ACK_BYTES)
+                for _ in range(2):  # the first call fills, the second reads
+                    assert timing.ack_airtime_ns(rate) == ack
+                    assert timing.cts_airtime_ns(rate) == (
+                        timing.preamble_ns + rate.airtime_ns(CTS_BYTES)
+                    )
+                    assert timing.ack_timeout_ns(rate) == (
+                        timing.sifs_ns + ack + timing.ack_timeout_slack_ns
+                    )
+                    assert timing.eifs_ns(rate) == (
+                        timing.sifs_ns + ack + timing.difs_ns
+                    )
+                    for payload in self.PAYLOADS:
+                        frame = data_frame(payload, rate)
+                        assert timing.frame_airtime_ns(frame) == (
+                            timing.preamble_ns + rate.airtime_ns(frame.total_bytes)
+                        )

@@ -17,7 +17,6 @@ from repro.util.hotpath import (
     hotpath_enabled,
     hotpath_forced,
     set_hotpath,
-    vector_forced,
 )
 
 from tests.conftest import build_phy_world
@@ -122,7 +121,7 @@ class TestGoldenEquivalence:
     @pytest.mark.parametrize("scenario", ["fig8", "fig10", "sparse_floor"])
     def test_rederivation_matches_golden(self, scenario):
         golden = assert_baseline_matches(scenario)
-        with hotpath_forced(False), vector_forced(False):
+        with hotpath_forced(False):
             _, snap = run_scenario(scenario)
         assert diff(golden, snap) == []
         # Coalesced air notifications mean strictly fewer engine events

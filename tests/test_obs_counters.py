@@ -238,3 +238,22 @@ class TestNetworkIntegration:
         snap = network_counters(net)
         assert snap["mac/data_transmissions"] > 0
         assert not any(key.startswith("comap/") for key in snap)
+
+    def test_default_dense_floor_snapshot_has_no_negative_value(self):
+        # Disabled features omit their keys instead of reporting -1.0
+        # sentinels: a dense cell keeps the exhaustive sweep, so no grid
+        # geometry is reported, while the active cull margin is.
+        net = Network(ns2_params(), mac_kind="comap", seed=0)
+        ap = net.add_ap("AP", 0.0, 0.0)
+        for i in range(10):
+            net.add_client(f"C{i}", 5.0 + 0.5 * i, 5.0, ap=ap)
+        net.finalize()
+        for node in list(net.nodes.values()):
+            if not node.is_ap:
+                net.add_saturated(node, ap)
+        net.run(0.05)
+        snap = network_counters(net)
+        assert {key: value for key, value in snap.items() if value < 0} == {}
+        assert snap["channel/cull_margin_db"] > 0
+        assert "channel/spatial_cell_size_m" not in snap
+        assert "channel/spatial_cells" not in snap

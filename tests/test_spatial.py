@@ -3,8 +3,7 @@
 Covers the spatial candidate-generation tentpole:
 
 * :class:`repro.phy.spatial.SpatialIndex` unit behavior — membership
-  errors, version discipline (same-cell moves still bump), degenerate
-  huge-radius queries;
+  errors, empty-cell cleanup, degenerate huge-radius queries;
 * hypothesis properties: grid membership after arbitrary
   attach/move/detach sequences equals brute-force recomputation, and
   ``query_disk`` always returns a superset of the true in-disk members;
@@ -17,7 +16,9 @@ Covers the spatial candidate-generation tentpole:
 * copy discipline (satellite): ``Channel.radios`` copies,
   ``radios_view`` does not;
 * candidate ordering, the ``spatial_*`` counters, margin-off inertness,
-  and the manifest ``spatial`` block.
+  and the manifest ``spatial`` block;
+* the grid-vs-exhaustive choice itself (:func:`grid_pays_off`), unit
+  and end to end on a row-of-cells floor and the Fig. 8 floor.
 """
 
 import math
@@ -25,21 +26,25 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.experiments.params import ns2_params
+from repro.net.network import Network
 from repro.obs.counters import CounterRegistry
 from repro.obs.manifest import RunManifest, build_manifest, validate_manifest
 from repro.phy.propagation import REACH_RADIUS_SLACK, LogNormalShadowing
 from repro.phy.radio import Radio, RadioConfig
 from repro.phy.spatial import (
+    GRID_MIN_EXTENT_REACHES,
     SpatialIndex,
+    grid_pays_off,
     record_grid_built,
     record_reach_radius,
     reset_spatial_stats,
     spatial_manifest_block,
 )
 from repro.util.geometry import Point
-from repro.util.hotpath import spatial_forced
 
 from tests.conftest import StubMac, build_phy_world
+from tests.goldens import run_scenario
 
 NEAR = (0.0, 0.0)
 MID = (10.0, 0.0)
@@ -76,23 +81,6 @@ class TestSpatialIndex:
             grid.remove(99)
         with pytest.raises(ValueError):
             grid.move(99, 0.0, 0.0)
-
-    def test_version_bumps_on_every_mutation(self):
-        # Same-cell moves must bump too: consumers cache *position*-
-        # derived state (mean-power rows), not just cell membership.
-        grid = SpatialIndex(100.0)
-        v0 = grid.version
-        grid.add(1, 10.0, 10.0)
-        v1 = grid.version
-        assert v1 > v0
-        grid.move(1, 11.0, 10.0)  # same cell
-        v2 = grid.version
-        assert v2 > v1
-        grid.move(1, 250.0, 10.0)  # different cell
-        v3 = grid.version
-        assert v3 > v2
-        grid.remove(1)
-        assert grid.version > v3
 
     def test_empty_cells_are_dropped(self):
         grid = SpatialIndex(10.0)
@@ -326,24 +314,12 @@ class TestChannelSpatial:
         # the equivalence-checked counter matches the exhaustive path.
         assert counters["culled_links"] == exhaustive.channel.links_culled == 1
 
-    def test_env_knob_reaches_channel(self):
-        with spatial_forced(True):
-            world = build_phy_world([NEAR, MID])
-            assert world.channel.spatial_active
-        with spatial_forced(False):
-            world = build_phy_world([NEAR, MID])
-            assert not world.channel.spatial_active
-
-    def test_explicit_param_beats_knob(self):
-        with spatial_forced(True):
-            world = build_phy_world([NEAR, MID], spatial=False)
-            assert not world.channel.spatial_active
-
     def test_inert_without_cull_margin(self):
         # The grid's soundness argument *is* the cull test; without a
-        # margin there is nothing sound to skip, so the knob is inert.
+        # margin there is nothing sound to skip, so even a forced
+        # choice keeps the exhaustive sweep.
         world = build_phy_world([NEAR, MID, FAR], cull_margin_db="off", spatial=True)
-        assert not world.channel.spatial_active
+        assert world.channel.spatial_grid is None
         assert world.channel.prepare_spatial() is None
         tx = world.radios[0].start_transmission(world.data_frame(0, 1))
         world.sim.run()
@@ -355,7 +331,7 @@ class TestChannelSpatial:
         grid = world.channel.prepare_spatial()
         assert grid is not None
         assert world.channel.prepare_spatial() is grid
-        assert world.channel.spatial_index is grid
+        assert world.channel.spatial_grid is grid
 
     def test_move_rehashes_and_uncults(self):
         world = build_phy_world([NEAR, MID, FAR], spatial=True)
@@ -389,7 +365,7 @@ class TestChannelSpatial:
         world.channel.record_spatial_occupancy()
         histogram = registry.histogram("channel/spatial_occupancy")
         stats = histogram.as_dict()
-        assert stats["count"] == world.channel.spatial_index.cell_count
+        assert stats["count"] == world.channel.spatial_grid.cell_count
         assert stats["sum"] == 3  # every radio counted exactly once
 
     def test_occupancy_noop_without_registry(self):
@@ -413,13 +389,11 @@ class TestManifestSpatialBlock:
     def test_block_reports_grid_stats(self):
         reset_spatial_stats()
         try:
-            with spatial_forced(True):
-                world = build_phy_world([NEAR, MID, FAR])
-                world.channel.prepare_spatial()
-                world.radios[0].start_transmission(world.data_frame(0, 1))
-                world.sim.run()
-                block = spatial_manifest_block()
-            assert block["enabled"] is True
+            world = build_phy_world([NEAR, MID, FAR], spatial=True)
+            world.radios[0].start_transmission(world.data_frame(0, 1))
+            world.sim.run()
+            block = spatial_manifest_block()
+            assert block["grids_built"] == 1
             assert block["cell_size_m"]["count"] == 1
             assert block["cell_size_m"]["min"] > 0.0
             assert block["reach_radius_m"]["count"] == 1
@@ -429,8 +403,10 @@ class TestManifestSpatialBlock:
 
     def test_block_minimal_when_nothing_built(self):
         reset_spatial_stats()
-        with spatial_forced(False):
-            assert spatial_manifest_block() == {"enabled": False}
+        world = build_phy_world([NEAR, MID, FAR], spatial=False)
+        world.radios[0].start_transmission(world.data_frame(0, 1))
+        world.sim.run()
+        assert spatial_manifest_block() == {"grids_built": 0}
 
     def test_aggregate_folds_samples(self):
         reset_spatial_stats()
@@ -449,12 +425,26 @@ class TestManifestSpatialBlock:
     def test_manifest_roundtrip_with_spatial(self):
         manifest = build_manifest(
             **self._manifest_kwargs(),
-            spatial={"enabled": True, "cell_size_m": {"count": 1}},
+            spatial={"grids_built": 1, "cell_size_m": {"count": 1}},
+            hotpath=True,
         )
         payload = manifest.to_dict()
         validate_manifest(payload)
         loaded = RunManifest.from_dict(payload)
-        assert loaded.spatial == {"enabled": True, "cell_size_m": {"count": 1}}
+        assert loaded.spatial == {"grids_built": 1, "cell_size_m": {"count": 1}}
+        assert loaded.hotpath is True
+
+    def test_old_style_enabled_block_still_loads(self):
+        # Manifests archived while the grid was an opt-in knob record
+        # the knob, not the grids built, and carry no hotpath field.
+        manifest = build_manifest(**self._manifest_kwargs())
+        payload = manifest.to_dict()
+        payload["spatial"] = {"enabled": False}
+        del payload["hotpath"]
+        validate_manifest(payload)
+        loaded = RunManifest.from_dict(payload)
+        assert loaded.spatial == {"enabled": False}
+        assert loaded.hotpath is None
 
     def test_old_manifests_still_validate(self):
         # Archived manifests predate the spatial field entirely.
@@ -464,3 +454,54 @@ class TestManifestSpatialBlock:
         validate_manifest(payload)
         loaded = RunManifest.from_dict(payload)
         assert loaded.spatial is None
+
+
+# ----------------------------------------------------------------------
+# The grid-vs-exhaustive choice
+# ----------------------------------------------------------------------
+class TestGridChoice:
+    REACH_M = 1_500.0
+
+    @pytest.mark.parametrize(
+        "extent_reaches, expected",
+        [(0.0, False), (0.14, False), (2.9, False), (GRID_MIN_EXTENT_REACHES, False),
+         (3.1, True), (394.0, True)],
+    )
+    def test_boundary(self, extent_reaches, expected):
+        # At or below three radii the 3x3 query block already covers the
+        # whole floor, so only a strictly wider floor gets a grid.
+        assert grid_pays_off(extent_reaches * self.REACH_M, self.REACH_M) is expected
+
+    @staticmethod
+    def _row_of_cells(cells=4):
+        """Default-params DCF cells 3 km apart (bench_scale_city's shape)."""
+        net = Network(ns2_params(), mac_kind="dcf", seed=17)
+        for i in range(cells):
+            cx = i * 3_000.0
+            ap = net.add_ap(f"AP{i}", cx, 0.0)
+            for j in range(4):
+                client = net.add_client(f"C{i}-{j}", cx + 8.0 + 2.0 * j, 5.0, ap=ap)
+        net.finalize()
+        net.add_saturated(client, ap)
+        return net
+
+    def test_row_of_cells_floor_builds_a_grid(self):
+        net = self._row_of_cells()
+        channel = net.channels[0]
+        grid = channel.spatial_grid
+        assert grid is not None  # decided at finalize, before any traffic
+        assert len(grid) == 20
+        net.run(0.02)
+        counters = net.counters()
+        assert counters["channel/spatial_queries"] == channel.frames_sent > 0
+        assert counters["channel/spatial_skipped"] > 0
+        assert counters["channel/spatial_cells"] == grid.cell_count
+
+    def test_fig8_floor_keeps_the_sweep(self):
+        net, _ = run_scenario("fig8")
+        assert all(ch.spatial_grid is None for ch in net.channels.values())
+        counters = net.counters()
+        assert counters["channel/frames_sent"] > 0
+        assert counters["channel/spatial_queries"] == 0
+        assert "channel/spatial_cells" not in counters
+        assert "channel/spatial_cell_size_m" not in counters

@@ -1,19 +1,19 @@
 """Spatial candidate generation: differential harness and goldens.
 
-``REPRO_SPATIAL=1`` must be a pure execution-mode change: per-node
-counters, ``rx_power_mw`` maps, and per-flow goodput bit-identical to
-the exhaustive culled sweep, across the full knob matrix (scalar /
-vector backend, hot path on / off, every cull margin).  Enforced here
-three ways, mirroring ``test_vector_equivalence``:
+Each channel chooses between the hash grid and the exhaustive culled
+sweep itself (:func:`repro.phy.spatial.grid_pays_off`), and the choice
+must be a pure performance decision: per-node counters, ``rx_power_mw``
+maps, and per-flow goodput bit-identical either way, with the hot path
+on or off and at every cull margin.  The suites force each side through
+``tests.conftest.grid_forced`` and enforce the contract three ways:
 
 * a **differential harness**: hypothesis-randomized sparse topologies
   (spread wide enough that culling actually fires) run with the grid on
   and off and must agree on every observable — including under mobility,
-  which exercises incremental rehashing and sparse-plan invalidation;
+  which exercises incremental rehashing;
 * **golden equivalence**: the pinned Fig-8 / Fig-10 / sparse-floor
-  fixtures must be reproduced exactly with the grid on, under both the
-  scalar and vector paths, with event-count parity;
-* **margin matrix**: spatial-on equals spatial-off at non-default cull
+  fixtures must be reproduced exactly with the grid forced on;
+* **margin matrix**: grid-on equals grid-off at non-default cull
   margins (where the goldens don't apply, the exhaustive run is the
   oracle).
 """
@@ -23,14 +23,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.util.geometry import Point
-from repro.util.hotpath import (
-    hotpath_forced,
-    spatial_forced,
-    vector_enabled,
-    vector_forced,
-)
+from repro.util.hotpath import hotpath_forced
 
-from tests.conftest import build_phy_world
+from tests.conftest import build_phy_world, grid_forced
 from tests.goldens import assert_baseline_matches, diff, run_scenario
 
 
@@ -95,21 +90,6 @@ class TestDifferentialHarness:
         spatial = _drive(build_phy_world(positions, spatial=True, **kwargs))
         assert baseline == spatial
 
-    @settings(max_examples=15, deadline=None)
-    @given(
-        positions=_placement,
-        seed=st.integers(min_value=0, max_value=2**16),
-    )
-    def test_agreement_with_vector_backend(self, positions, seed):
-        # Sparse candidate-indexed plans vs dense N-row plans.
-        kwargs = dict(sigma_db=4.0, shadowing_mode="per_frame", seed=seed)
-        with vector_forced(True):
-            baseline = _drive(
-                build_phy_world(positions, spatial=False, **kwargs)
-            )
-            spatial = _drive(build_phy_world(positions, spatial=True, **kwargs))
-        assert baseline == spatial
-
     @settings(max_examples=10, deadline=None)
     @given(
         positions=_placement,
@@ -125,14 +105,10 @@ class TestDifferentialHarness:
         assert baseline == spatial
 
     @settings(max_examples=15, deadline=None)
-    @given(
-        seed=st.integers(min_value=0, max_value=2**16),
-        vector=st.booleans(),
-    )
-    def test_mobility_agrees(self, seed, vector):
+    @given(seed=st.integers(min_value=0, max_value=2**16))
+    def test_mobility_agrees(self, seed):
         # Radio 1 walks from cull range into the sender's cell and back
-        # out — incremental rehashing plus (under vector) sparse-plan
-        # invalidation must never change an observable.
+        # out — incremental rehashing must never change an observable.
         positions = [(0.0, 0.0), (5_000.0, 0.0), (30.0, 10.0)]
         waypoints = [
             Point(5_000.0, 0.0), Point(40.0, 0.0),
@@ -143,15 +119,14 @@ class TestDifferentialHarness:
             world.radios[1].move_to(waypoints[round_index % len(waypoints)])
 
         kwargs = dict(sigma_db=4.0, shadowing_mode="per_frame", seed=seed)
-        with vector_forced(vector):
-            baseline = _drive(
-                build_phy_world(positions, spatial=False, **kwargs),
-                rounds=4, mover=mover,
-            )
-            spatial = _drive(
-                build_phy_world(positions, spatial=True, **kwargs),
-                rounds=4, mover=mover,
-            )
+        baseline = _drive(
+            build_phy_world(positions, spatial=False, **kwargs),
+            rounds=4, mover=mover,
+        )
+        spatial = _drive(
+            build_phy_world(positions, spatial=True, **kwargs),
+            rounds=4, mover=mover,
+        )
         assert baseline == spatial
 
     @settings(max_examples=10, deadline=None)
@@ -178,7 +153,7 @@ class TestDifferentialHarness:
 
 
 # ----------------------------------------------------------------------
-# Margin matrix: spatial-on equals spatial-off at every margin
+# Margin matrix: grid-on equals grid-off at every margin
 # ----------------------------------------------------------------------
 class TestMarginMatrix:
     @pytest.mark.parametrize("margin", [0.0, 6.0, 20.0, 45.0])
@@ -196,9 +171,9 @@ class TestMarginMatrix:
     def test_scenario_margin_overrides_agree(self, cull):
         # Full-MAC oracle runs at non-default margins (no golden
         # fixture exists there; the exhaustive run is the reference).
-        with spatial_forced(False):
+        with grid_forced(False):
             _, baseline = run_scenario("sparse_floor", cull=cull)
-        with spatial_forced(True):
+        with grid_forced(True):
             _, spatial = run_scenario("sparse_floor", cull=cull)
         assert diff(baseline, spatial) == []
         assert spatial["links_culled"] == baseline["links_culled"]
@@ -211,7 +186,7 @@ class TestGoldenEquivalence:
     @pytest.mark.parametrize("scenario", ["fig8", "fig10", "sparse_floor"])
     def test_spatial_matches_golden(self, scenario):
         golden = assert_baseline_matches(scenario)
-        with spatial_forced(True):
+        with grid_forced(True):
             net, snap = run_scenario(scenario)
         assert diff(golden, snap) == []
         # Grid skips are charged into the culled counter per frame, so
@@ -223,36 +198,21 @@ class TestGoldenEquivalence:
             for ch in net.channels.values()
         )
 
-    @pytest.mark.parametrize("scenario", ["fig8", "fig10", "sparse_floor"])
-    def test_spatial_vector_matches_golden(self, scenario):
-        golden = assert_baseline_matches(scenario)
-        with spatial_forced(True), vector_forced(True):
-            net, snap = run_scenario(scenario)
-        assert diff(golden, snap) == []
-        assert snap["links_culled"] == golden["links_culled"]
-        assert snap["vector_batches"] > 0
-
     def test_spatial_with_hotpath_off_matches_golden(self):
         golden = assert_baseline_matches("fig8")
-        with spatial_forced(True), hotpath_forced(False):
+        with grid_forced(True), hotpath_forced(False):
             _, snap = run_scenario("fig8")
         assert diff(golden, snap) == []
 
     def test_sparse_floor_grid_actually_skips(self):
         # The sparse floor's two cells sit 4 km apart — far outside
         # reach — so the grid must absorb every cull without visiting
-        # the far cell's radios at all.  Scalar mode queries the grid
-        # every frame, so skips match `culled_links` exactly; the vector
-        # backend queries once per cached plan build (`culled_links` is
-        # still charged per frame for equivalence), so skips are merely
-        # positive and bounded by the per-frame total.
-        with spatial_forced(True):
+        # the far cell's radios at all: it queries every frame, so skips
+        # match `culled_links` exactly.
+        with grid_forced(True):
             net, snap = run_scenario("sparse_floor")
         totals = {
             key: sum(ch.counters()[key] for ch in net.channels.values())
             for key in ("spatial_skipped", "culled_links")
         }
-        if vector_enabled():
-            assert 0 < totals["spatial_skipped"] <= totals["culled_links"]
-        else:
-            assert totals["spatial_skipped"] == totals["culled_links"] > 0
+        assert totals["spatial_skipped"] == totals["culled_links"] > 0

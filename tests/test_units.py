@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.util.units import (
     MICROSECOND,
@@ -80,3 +80,37 @@ class TestTimeConstants:
     @given(st.integers(min_value=0, max_value=10 * SECOND))
     def test_ns_round_trip_exact(self, ns):
         assert s_to_ns(ns_to_s(ns)) == ns
+
+
+_db = st.floats(min_value=-200.0, max_value=200.0,
+                allow_nan=False, allow_infinity=False)
+
+
+# ----------------------------------------------------------------------
+# dB <-> ratio algebra (exact scalar helpers the frame hot path uses)
+# ----------------------------------------------------------------------
+class TestDbAlgebra:
+    @given(db=_db)
+    @settings(deadline=None)
+    def test_round_trip(self, db):
+        assert math.isclose(ratio_to_db(db_to_ratio(db)), db,
+                            rel_tol=0, abs_tol=1e-9)
+
+    def test_identity_at_zero(self):
+        assert db_to_ratio(0.0) == 1.0
+        assert ratio_to_db(1.0) == 0.0
+        assert dbm_to_mw(0.0) == 1.0
+
+    @given(a=_db, b=_db)
+    @settings(deadline=None)
+    def test_monotone(self, a, b):
+        if a < b:
+            assert db_to_ratio(a) <= db_to_ratio(b)
+        if a + 1e-9 < b:  # strict once the gap survives float rounding
+            assert db_to_ratio(a) < db_to_ratio(b)
+
+    def test_ratio_to_db_rejects_non_positive(self):
+        with pytest.raises(ValueError):
+            ratio_to_db(0.0)
+        with pytest.raises(ValueError):
+            ratio_to_db(-1.0)
