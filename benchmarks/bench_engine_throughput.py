@@ -242,7 +242,7 @@ def _time_hotpath_round(enabled):
     return wall_s, snapshot
 
 
-def _run_hotpath_modes(duration_s, rounds=3):
+def _run_hotpath_modes(duration_s, rounds=7):
     """Min-of-``rounds`` wall time per mode, rounds interleaved.
 
     Interleaving (on, off, on, off, ...) instead of timing one mode's
@@ -280,7 +280,7 @@ def test_hotpath_throughput_dense(benchmark):
     linear-domain values and coalesces each frame's notifications into
     one delivery event.  Same physics either way — per-node counters are
     asserted bit-identical — so for a fixed simulated duration the
-    min-of-3 wall-clock ratio is the speedup.
+    min-of-7 wall-clock ratio is the speedup.
     """
     duration_s = DENSE_DURATION_S
 

@@ -2,7 +2,7 @@
 
 Runs the enterprise-floor study (:func:`repro.experiments.runner.run_csr_floor`)
 on a small grid — one AP count, a few topology draws, DCF vs CO-MAP vs
-C-SR — across a worker pool, then asserts the coordination contract end
+C-SR — across worker processes, then asserts the coordination contract end
 to end:
 
 * every cell completed and delivered traffic on every flow,
@@ -38,7 +38,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--out", default="csr-artifacts", help="artifact output directory"
     )
-    parser.add_argument("--jobs", type=int, default=2, help="pool worker count")
+    parser.add_argument("--jobs", type=int, default=2, help="sweep worker count")
     parser.add_argument(
         "--duration-s", type=float, default=0.2, help="per-run simulated seconds"
     )

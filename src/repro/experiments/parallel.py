@@ -1,54 +1,42 @@
-"""Parallel sweep execution with deterministic seed streams.
+"""Sweep execution with deterministic seed streams.
 
 Every ``run_*`` function in :mod:`repro.experiments.runner` decomposes its
 sweep into independent :class:`SweepTask` records and hands them to
 :func:`run_tasks`.  Three properties make the decomposition safe:
 
 * **Deterministic seed streams.**  Each task's RNG seed comes from
-  :func:`derive_seed`, a ``spawn_key``-style derivation that hashes
-  ``(base_seed, *task_key)`` through SHA-256.  Seeds therefore depend only
-  on the task's *identity* (its grid coordinates), never on execution
-  order, worker count, or platform ``hash()`` randomization — so a sweep
-  is bit-identical whether it runs serially, on 4 workers, or resumes
-  from a warm cache.
-* **Process isolation.**  Tasks run under
-  :class:`concurrent.futures.ProcessPoolExecutor` (``REPRO_JOBS`` env
-  knob, explicit ``jobs=`` argument wins).  The simulator is
-  bit-reproducible *per process*; separate processes per task mean no
-  shared mutable state can leak between sweep points.  ``jobs=1`` — the
-  default — bypasses the pool entirely, and any pickling failure degrades
-  gracefully to the same serial path.
+  :func:`derive_seed`, a ``spawn_key``-style SHA-256 derivation over
+  ``(base_seed, *task_key)``.  Seeds depend only on the task's *identity*
+  (its grid coordinates), never on execution order, worker count, or
+  ``hash()`` randomization — so a sweep is bit-identical whether it runs
+  serially, on 4 workers, or resumes from a warm cache.
+* **Process isolation.**  ``jobs > 1`` (``REPRO_JOBS``; an explicit
+  ``jobs=`` wins) shards the tasks one per shard into a private temporary
+  :mod:`repro.experiments.queue` and drains it with that many worker
+  processes, so crash handling exists once.  ``jobs=1`` — the default —
+  runs in-process, as do tasks that cannot travel to a worker.
 * **Content-keyed memoization.**  An optional on-disk
-  :class:`ResultCache` stores each task's result under a stable SHA-256
-  fingerprint of the task's callable and its full keyword set (scenario
-  parameters, topology arguments, seed, duration).  Changing *any* field
-  of :class:`~repro.experiments.params.ScenarioParams` changes the
-  fingerprint, so stale hits are impossible; corrupted cache files are
-  treated as misses.
-
-Per-task progress and wall-clock timings are recorded into the process
-global :func:`repro.sim.trace.global_recorder` under the ``sweep``
-category (enable with ``REPRO_TRACE_SWEEP=1``, the broader
-``REPRO_TRACE`` knob, or ``global_recorder().enable("sweep")``).
+  :class:`ResultCache` stores each task's result under a SHA-256
+  fingerprint of the task's callable and full keyword set, so changing
+  *any* :class:`~repro.experiments.params.ScenarioParams` field misses;
+  corrupted cache files are misses too.
 
 Observability (:mod:`repro.obs`)
 --------------------------------
 
-Pool workers are separate processes with their *own* module-global
-recorder and counter registry, so anything recorded there would
-silently vanish when the worker exits.  The pool entry point therefore
-snapshots both around each task and ships the deltas back inside the
-task result; the parent merges them into its own
-:func:`~repro.sim.trace.global_recorder` /
-:func:`~repro.obs.counters.global_registry`, making a 2-worker run's
-trace indistinguishable from a serial one (same events, worker PIDs in
-the ``task_run`` records).  When a manifest sink is active
-(``REPRO_MANIFEST_DIR`` or :func:`repro.obs.manifest.manifest_sink`),
-every :func:`run_tasks` call also writes a schema-validated
-``<label>.manifest.json`` recording the task grid, seeds, git SHA,
-wall time, and counter snapshot.  All of it costs nothing measurable
-when disabled: one env lookup and a handful of perf-counter reads per
-*sweep*, not per task.
+Per-task progress and timings go to
+:func:`repro.sim.trace.global_recorder` under the ``sweep`` category
+(``REPRO_TRACE_SWEEP=1``, the broader ``REPRO_TRACE`` knob, or
+``global_recorder().enable("sweep")``).  A worker's trace events,
+counter deltas and spatial record come back in its shard's fragment and
+are folded into this process's in task order, so a 2-worker trace
+matches a serial one (worker PIDs in the ``task_run`` records).  With a
+manifest sink active (``REPRO_MANIFEST_DIR`` or
+:func:`repro.obs.manifest.manifest_sink`) every :func:`run_tasks` call
+writes a schema-validated ``<label>.manifest.json`` — grid, seeds, git
+SHA, wall time, counters and the PHY path taken — through
+:func:`sweep_manifest`, which ``queue merge`` uses too.  Disabled, all of
+it costs a few env lookups and perf-counter reads per *sweep*.
 """
 
 from __future__ import annotations
@@ -63,17 +51,20 @@ import tempfile
 import threading
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs import manifest as obs_manifest
-from repro.obs.counters import diff_snapshot, global_registry
+from repro.obs.counters import global_registry
 from repro.obs.profile import maybe_profiler
-from repro.obs.trace_io import events_from_payload, events_to_payload
-from repro.phy.spatial import spatial_manifest_block
+from repro.obs.trace_io import events_from_payload
+from repro.phy.spatial import (
+    merge_spatial_record,
+    spatial_manifest_block,
+    spatial_record,
+)
 from repro.sim.trace import configure_from_env, global_recorder
+from repro.util.atomic import atomic_write
 from repro.util.hotpath import hotpath_enabled
 from repro.util.rng import _canonical, derive_seed
 
@@ -95,10 +86,8 @@ ON_ERROR_ENV = "REPRO_ON_ERROR"
 #: Bump when the cache payload format (not the keyed content) changes.
 CACHE_VERSION = 1
 
-# ``derive_seed`` (and its canonical encoding) lives in
-# :mod:`repro.util.rng` so the PHY layer can key per-link shadowing
-# substreams with the same machinery; it is re-exported here because
-# every runner, bench, and test imports it from this module.
+# ``derive_seed`` lives in :mod:`repro.util.rng` (the PHY keys its
+# substreams with it) and is re-exported for runners, benches and tests.
 
 
 # ----------------------------------------------------------------------
@@ -131,8 +120,7 @@ class TaskTimeout(Exception):
     """A sweep task exceeded its per-task wall-clock limit.
 
     Raised *inside* the executing process (worker or parent) by the
-    :func:`_alarm` guard, so it pickles back through the pool like any
-    task exception and carries the task key for diagnostics.
+    :func:`_alarm` guard and recorded there as a ``"timeout"`` failure.
     """
 
 
@@ -140,12 +128,9 @@ class TaskTimeout(Exception):
 def _alarm(timeout_s: Optional[float]):
     """Bound a block's wall-clock time via ``SIGALRM``.
 
-    A no-op when no limit is set, when ``SIGALRM`` is unavailable
-    (Windows), or off the main thread (signal handlers can only be
-    installed there) — in those cases tasks simply run unbounded, the
-    pre-hardening behavior.  ``setitimer`` gives sub-second resolution
-    and the handler/timer are always restored, so nesting with user
-    code that uses alarms stays safe.
+    A no-op without a limit, without ``SIGALRM`` (Windows) or off the
+    main thread, where handlers cannot be installed.  The handler and
+    timer are always restored, so user code using alarms stays safe.
     """
     if (
         not timeout_s
@@ -170,12 +155,8 @@ def _alarm(timeout_s: Optional[float]):
 def _execute_indexed(
     task: SweepTask, timeout_s: Optional[float] = None
 ) -> Tuple[Any, float]:
-    """Run one task, returning (result, elapsed_s).
-
-    Records a ``sweep/task_run`` event *in the executing process* (the
-    parent when serial, the worker when pooled) — the per-task half of
-    the profiling hooks.
-    """
+    """Run one task, returning (result, elapsed_s); records a
+    ``sweep/task_run`` event in the executing process."""
     trace = _sweep_trace()
     started = time.perf_counter()
     with _alarm(timeout_s):
@@ -185,37 +166,6 @@ def _execute_indexed(
         "sweep", "task_run", key=task.key, pid=os.getpid(), elapsed_s=elapsed
     )
     return result, elapsed
-
-
-def _execute_shipping(
-    task: SweepTask, timeout_s: Optional[float] = None
-) -> Tuple[Any, float, list, Dict[str, Any]]:
-    """Pool entry point: run one task and ship observability deltas.
-
-    A worker process has its own module-global trace recorder and
-    counter registry; whatever the task records there would be lost when
-    the worker exits.  So: snapshot both, run, and return the deltas
-    (versioned JSON-safe payloads) with the result for the parent to
-    merge.  Baselines are taken per call, which also fences off events
-    inherited over ``fork`` and events from earlier tasks on a reused
-    worker.
-    """
-    recorder = _sweep_trace()
-    events_base = len(recorder)
-    dropped_base = recorder.dropped_events
-    registry = global_registry()
-    counters_base = registry.snapshot()
-    result, elapsed = _execute_indexed(task, timeout_s)
-    # Ring-buffer aware slice: events dropped during the task shift the
-    # baseline index left.
-    shift = recorder.dropped_events - dropped_base
-    fresh = recorder.events()[max(0, events_base - shift):]
-    return (
-        result,
-        elapsed,
-        events_to_payload(fresh),
-        diff_snapshot(counters_base, registry.snapshot()),
-    )
 
 
 # ----------------------------------------------------------------------
@@ -258,14 +208,7 @@ class ResultCache:
         return True, payload["result"]
 
     def put(self, digest: str, value: Any) -> None:
-        """Store a result atomically; swallow storage failures.
-
-        The payload lands in a same-directory temp file, is flushed and
-        fsynced, and only then renamed over the final name — a process
-        killed mid-write leaves at worst an orphaned ``.tmp`` (reaped by
-        :meth:`clear`), never a truncated ``.json`` that a later run
-        could read as a corrupt entry.
-        """
+        """Store a result atomically; swallow storage failures."""
         try:
             payload = json.dumps(
                 {"version": CACHE_VERSION, "key": digest, "result": value}
@@ -273,37 +216,21 @@ class ResultCache:
         except (TypeError, ValueError):
             return  # non-JSON result: simply don't memoize it
         try:
-            os.makedirs(self.root, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    handle.write(payload)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                os.replace(tmp, self.path_for(digest))
-            finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
+            atomic_write(self.path_for(digest), payload.encode("utf-8"))
         except OSError:
             return  # read-only/full disk: caching is best-effort
 
-    #: ``clear()`` only reaps ``.tmp`` files at least this old (seconds).
-    #: A fresh ``.tmp`` belongs to a *live* concurrent writer mid-
-    #: :meth:`put` — several queue workers share one cache directory —
-    #: and deleting it would make the writer's ``os.replace`` fail,
-    #: silently losing that entry.  A dead writer's orphan just waits
-    #: out the guard before the next ``clear()`` removes it.
+    #: ``clear()`` only reaps ``.tmp`` files at least this old (seconds):
+    #: a fresh one belongs to a *live* writer mid-:meth:`put` (queue
+    #: workers share cache directories), whose rename must not fail.
     ORPHAN_AGE_S = 60.0
 
     def clear(self, orphan_age_s: Optional[float] = None) -> int:
         """Delete all cache entries; returns the number removed.
 
-        Also reaps ``.tmp`` orphans left by writers that died mid-put
-        (those never count toward the removed total — they were never
-        entries) — but only orphans older than ``orphan_age_s``
-        (default :data:`ORPHAN_AGE_S`), so a concurrent worker that is
-        *currently* between ``mkstemp`` and ``os.replace`` on a shared
-        cache directory never has its temp file yanked away mid-write.
+        Also reaps (uncounted) ``.tmp`` orphans of writers that died
+        mid-put, once older than ``orphan_age_s`` (default
+        :data:`ORPHAN_AGE_S`).
         """
         if orphan_age_s is None:
             orphan_age_s = self.ORPHAN_AGE_S
@@ -315,18 +242,15 @@ class ResultCache:
             return 0
         for name in names:
             path = os.path.join(self.root, name)
-            if name.endswith(".json"):
-                try:
+            try:
+                if name.endswith(".json"):
                     os.unlink(path)
                     removed += 1
-                except OSError:
-                    pass
-            elif name.endswith(".tmp"):
-                try:
+                elif name.endswith(".tmp"):
                     if now - os.path.getmtime(path) >= orphan_age_s:
                         os.unlink(path)
-                except OSError:
-                    pass
+            except OSError:
+                pass
         return removed
 
 
@@ -354,11 +278,9 @@ def _env_cache() -> Optional[ResultCache]:
 class FailurePolicy:
     """How a sweep treats tasks that raise, hang, or kill their worker.
 
-    The default (no timeout, no retries, ``on_error="raise"``) is the
-    pre-hardening behavior: the first failure propagates.  With
-    ``on_error="record"`` a sweep becomes crash-tolerant: failed tasks
-    yield ``None`` results and structured :class:`TaskFailure` records
-    in the trace and run manifest, while every other task completes.
+    By default the first failure propagates.  With ``on_error="record"``
+    failed tasks yield ``None`` results and structured
+    :class:`TaskFailure` records while every other task completes.
     """
 
     timeout_s: Optional[float] = None
@@ -402,7 +324,8 @@ class TaskFailure:
     index: int
     key: Tuple
     #: "exception" (the task raised), "timeout" (wall-clock limit), or
-    #: "broken_pool" (the task repeatedly killed its worker process).
+    #: "broken_pool" (the task killed its worker process more often
+    #: than its retry budget allows).
     kind: str
     error: str
     attempts: int
@@ -415,6 +338,16 @@ class TaskFailure:
             "error": self.error,
             "attempts": self.attempts,
         }
+
+
+class TaskFailed(RuntimeError):
+    """A multi-worker ``on_error="raise"`` sweep hit a failed task.
+
+    Workers always record failures; the driver raises this for the first
+    one in task order.  The original exception stayed in the worker, so
+    the message names the task key, the failure kind and the worker's
+    ``Type: message``.  Serial sweeps re-raise the original instead.
+    """
 
 
 # ----------------------------------------------------------------------
@@ -432,12 +365,8 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
 
 
 def _sweep_trace():
-    """The global recorder, with env-requested categories enabled.
-
-    Runs in parent and workers alike, so ``REPRO_TRACE``/
-    ``REPRO_TRACE_SWEEP`` opt-ins follow the environment into pool
-    processes.
-    """
+    """The global recorder with env-requested categories enabled (in
+    parent and workers alike)."""
     recorder = configure_from_env(global_recorder())
     if os.environ.get(TRACE_ENV, "0") == "1":
         recorder.enable("sweep")
@@ -467,10 +396,11 @@ def run_tasks(
     ``REPRO_TASK_RETRIES``, ``REPRO_ON_ERROR`` back-fill unset
     arguments).  With ``on_error="record"``, failed tasks return
     ``None`` in the result list and are recorded as ``sweep/task_failed``
-    trace events plus ``failures`` entries in the run manifest; a worker
-    process dying (``BrokenProcessPool``) respawns the pool and resumes
-    the unfinished tasks rather than aborting the sweep.  Failed tasks
-    are never cached.
+    trace events plus ``failures`` entries in the run manifest; a task
+    that kills its worker process costs only itself an attempt.  With
+    ``on_error="raise"`` a serial sweep re-raises the task's exception
+    and a multi-worker one raises :class:`TaskFailed`.  Failed tasks are
+    never cached.
     """
     tasks = list(tasks)
     trace = _sweep_trace()
@@ -478,6 +408,7 @@ def run_tasks(
         cache = _env_cache()
     jobs = resolve_jobs(jobs)
     policy = resolve_policy(timeout_s, retries, on_error)
+    spatial_base = spatial_record()
     profiler = maybe_profiler()
     if profiler is not None:
         profiler.start()
@@ -537,13 +468,17 @@ def run_tasks(
         profile_block = profiler.as_block()
     manifest_dir = obs_manifest.active_manifest_dir()
     if manifest_dir:
-        _write_sweep_manifest(
-            manifest_dir, label=label, tasks=tasks, jobs=jobs, wall_s=wall_s,
-            cache=cache, trace=trace, profile=profile_block,
+        manifest = sweep_manifest(
+            label, tasks, jobs=jobs, wall_s=wall_s, cache=cache,
+            profile=profile_block, spatial_base=spatial_base,
             failures=[failure.as_dict() for failure in failures]
             if policy.on_error == "record"
             else None,
         )
+        try:
+            obs_manifest.write_manifest(manifest, manifest_dir)
+        except OSError:
+            pass  # read-only/full disk: manifests are best-effort
     return results
 
 
@@ -552,14 +487,10 @@ def split_common_params(
 ) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
     """Common-kwargs intersection plus per-task overrides (JSON-safe).
 
-    A sweep manifest's ``params`` field used to record
-    ``tasks[0].kwargs`` wholesale, silently misreporting heterogeneous
-    grids (every task after the first could disagree with it).  Instead:
-    ``params`` is the intersection of keyword arguments shared — equal
-    after :func:`~repro.obs.manifest.jsonable` rendering — by *every*
-    task, and each task row carries only its deviations from that
-    intersection.  For a homogeneous grid the intersection equals the
-    old field and every override is empty.
+    ``params`` is the set of keyword arguments every task shares (equal
+    after :func:`~repro.obs.manifest.jsonable` rendering); each task row
+    carries only its deviations, so heterogeneous grids are reported
+    faithfully.
     """
     rendered = [
         {str(k): obs_manifest.jsonable(v) for k, v in task.kwargs.items()}
@@ -582,13 +513,7 @@ def split_common_params(
 def manifest_task_rows(
     tasks: Sequence[SweepTask],
 ) -> Tuple[List[Dict[str, Any]], Dict[str, Any]]:
-    """Manifest task rows + common ``params`` for a task grid.
-
-    Shared by :func:`_write_sweep_manifest` and the sweep-queue merge
-    (:mod:`repro.experiments.queue`) so a merged manifest's grid
-    description is bit-identical to the one a single uninterrupted
-    :func:`run_tasks` call would have written.
-    """
+    """Manifest task rows + common ``params`` for a task grid."""
     common, overrides = split_common_params(tasks)
     rows = []
     for task, override in zip(tasks, overrides):
@@ -607,50 +532,68 @@ def manifest_task_rows(
     return rows, common
 
 
-def grid_seeds(tasks: Sequence[SweepTask]) -> List[int]:
-    """Sorted distinct integer seeds across a task grid."""
-    return sorted(
-        {
-            int(task.kwargs["seed"])
-            for task in tasks
-            if isinstance(task.kwargs.get("seed"), int)
-        }
-    )
-
-
-def _write_sweep_manifest(
-    directory: str,
+def sweep_manifest(
     label: str,
     tasks: Sequence[SweepTask],
     jobs: int,
     wall_s: float,
-    cache: Optional[ResultCache],
-    trace,
-    profile: Optional[Dict[str, Any]] = None,
+    fragments: Optional[Sequence[Dict[str, Any]]] = None,
     failures: Optional[List[Dict[str, Any]]] = None,
-) -> Optional[str]:
-    """Write this sweep's run manifest; storage failures are non-fatal."""
-    task_rows, params = manifest_task_rows(tasks)
-    manifest = obs_manifest.build_manifest(
+    cache: Optional[ResultCache] = None,
+    profile: Optional[Dict[str, Any]] = None,
+    shards: Optional[Dict[str, Any]] = None,
+    spatial_base: Optional[Dict[str, Any]] = None,
+) -> obs_manifest.RunManifest:
+    """A sweep's run manifest: the one builder for every executor.
+
+    Without ``fragments`` (a :func:`run_tasks` sweep) counters, trace
+    counts and hot-path state are this process's, which already hold
+    every worker's fragment, and the spatial block covers the grids
+    built since ``spatial_base`` (the sweep's start record).  With
+    ``fragments`` (``queue merge``) those and the failure rows are
+    folded from the fragments alone; ``hotpath`` is their common value,
+    ``None`` when they disagree or a fragment predates the field.
+    """
+    rows, params = manifest_task_rows(tasks)
+    if fragments is None:
+        counters = global_registry().snapshot()
+        trace_counts = global_recorder().counts()
+        spatial: Optional[Dict[str, Any]] = spatial_manifest_block(
+            [spatial_record(since=spatial_base)]
+        )
+        hotpath: Optional[bool] = hotpath_enabled()
+    else:
+        counters = obs_manifest.merge_fragment_counters(list(fragments))
+        trace_counts = {}
+        for fragment in fragments:
+            for key, value in fragment["trace_counts"].items():
+                trace_counts[key] = trace_counts.get(key, 0) + int(value)
+        failures = sorted(
+            (row for fragment in fragments for row in fragment["failures"]),
+            key=lambda row: row.get("index", 0),
+        )
+        records = [fragment.get("spatial") for fragment in fragments]
+        spatial = None if None in records else spatial_manifest_block(records)
+        states = {fragment.get("hotpath") for fragment in fragments}
+        hotpath = states.pop() if len(states) == 1 else None
+    seeds = {task.kwargs.get("seed") for task in tasks}
+    return obs_manifest.build_manifest(
         label=label,
-        tasks=task_rows,
+        tasks=rows,
         jobs=jobs,
         wall_s=wall_s,
         params=params,
-        seeds=grid_seeds(tasks),
-        counters=global_registry().snapshot(),
-        trace_counts=trace.counts(),
+        seeds=sorted(seed for seed in seeds if isinstance(seed, int)),
+        counters=counters,
+        trace_counts=trace_counts,
         cache_hits=cache.hits if cache is not None else 0,
         cache_misses=cache.misses if cache is not None else 0,
         profile=profile,
         failures=failures,
-        spatial=spatial_manifest_block(),
-        hotpath=hotpath_enabled(),
+        shards=shards,
+        spatial=spatial,
+        hotpath=hotpath,
     )
-    try:
-        return obs_manifest.write_manifest(manifest, directory)
-    except OSError:
-        return None  # read-only/full disk: manifests are best-effort
 
 
 def _run_pending(
@@ -661,83 +604,40 @@ def _run_pending(
     trace,
     policy: FailurePolicy,
 ) -> Tuple[Dict[int, Tuple[Any, float]], List[TaskFailure]]:
-    """Run the not-yet-cached tasks, parallel when possible.
+    """Run the not-yet-cached tasks, on workers when possible.
 
-    Every pending task is probed for picklability individually:
-    unpicklable tasks run on the serial path while the rest still go
-    through the pool (one bad task used to either abort the whole pool
-    mid-batch or, when it happened to sit at ``pending[0]``, demote the
-    entire sweep to serial).  If the pool still fails — a task whose
-    kwargs probe fine but whose *result* will not pickle, missing fork
-    support, a dead worker — the serial fallback resumes only the
-    indices the pool did not finish: tasks already completed have had
-    their shipped counter deltas and trace events merged into the
-    parent registry, and re-running them would double-merge both.
+    Tasks that cannot travel to a worker (unpicklable or
+    unfingerprintable) run serially, as does whatever the workers leave
+    unfinished: a result that would not pickle, or everything not yet
+    folded when the driver raised ``OSError`` (temp dir, process start).
+    Finished tasks are never re-run — their deltas are already merged.
     """
     completed: Dict[int, Tuple[Any, float]] = {}
     failures: Dict[int, TaskFailure] = {}
-    if not pending:
-        return completed, []
     serial_indices = list(pending)
-    if jobs > 1 and len(pending) > 1:
-        pooled = [index for index in pending if _picklable(tasks[index])]
-        if len(pooled) > 1:
-            pooled_set = set(pooled)
-            serial_indices = [i for i in pending if i not in pooled_set]
-            try:
-                _run_parallel(tasks, pooled, jobs, policy, completed, failures)
-            except (pickle.PicklingError, AttributeError, TypeError, OSError) as exc:
-                # The sweep must finish either way — but resume only the
-                # unfinished indices, never the already-merged ones.
-                trace.record(
-                    "sweep", "serial_fallback", label=label,
-                    reason=f"{type(exc).__name__}: {exc}",
-                )
-                finished = set(completed) | set(failures)
-                serial_indices = [i for i in pending if i not in finished]
-    if serial_indices:
-        _run_serial(tasks, serial_indices, policy, completed, failures)
+    shipped = [i for i in pending if _shippable(tasks[i])] if jobs > 1 else []
+    if len(shipped) > 1:
+        try:
+            _run_parallel(tasks, shipped, jobs, policy, completed, failures)
+        except OSError as exc:
+            trace.record(
+                "sweep", "serial_fallback", label=label,
+                reason=f"{type(exc).__name__}: {exc}",
+            )
+        finished = set(completed) | set(failures)
+        serial_indices = [i for i in pending if i not in finished]
+    _run_serial(tasks, serial_indices, policy, completed, failures)
     return completed, [failures[index] for index in sorted(failures)]
 
 
-def _picklable(task: SweepTask) -> bool:
+def _shippable(task: SweepTask) -> bool:
+    """Can ``task`` go into a queue shard (pickle it, fingerprint it)?"""
     try:
         pickle.dumps(task)
+        task.fingerprint()
         return True
     except Exception:
         return False
-
-
-def _fail_or_retry(
-    task: SweepTask,
-    index: int,
-    kind: str,
-    exc: BaseException,
-    attempts: Dict[int, int],
-    policy: FailurePolicy,
-    requeue: List[int],
-    failures: Dict[int, TaskFailure],
-) -> None:
-    """Shared post-attempt bookkeeping for serial and pooled execution.
-
-    The attempt has already been charged.  Budget left → requeue the
-    *identical* task record (same derived seed, so a successful retry is
-    bit-identical to a first-try success).  Budget exhausted →
-    ``on_error="raise"`` propagates the original exception (the
-    pre-hardening contract), ``"record"`` files a structured failure.
-    """
-    if attempts[index] <= policy.retries:
-        requeue.append(index)
-        return
-    if policy.on_error == "raise":
-        raise exc
-    failures[index] = TaskFailure(
-        index=index,
-        key=task.key,
-        kind=kind,
-        error=f"{type(exc).__name__}: {exc}",
-        attempts=attempts[index],
-    )
 
 
 def _run_serial(
@@ -747,11 +647,14 @@ def _run_serial(
     completed: Optional[Dict[int, Tuple[Any, float]]] = None,
     failures: Optional[Dict[int, TaskFailure]] = None,
 ) -> Tuple[Dict[int, Tuple[Any, float]], List[TaskFailure]]:
-    """In-process execution honoring the same failure policy as the pool.
+    """In-process execution under a failure policy (serial sweeps, and
+    each queue shard inside its worker).
 
-    ``completed``/``failures`` may be passed in (and are mutated) so a
-    serial resume after a pool fallback extends the pool's partial
-    progress instead of discarding it.
+    A failed task with budget left is re-run from the *identical* record
+    (same derived seed, so a successful retry is bit-identical); once
+    exhausted, ``on_error="raise"`` re-raises the original exception and
+    ``"record"`` files a :class:`TaskFailure`.  ``completed``/``failures``
+    may be passed in and are mutated, extending earlier progress.
     """
     completed = {} if completed is None else completed
     failures = {} if failures is None else failures
@@ -760,20 +663,22 @@ def _run_serial(
     while queue:
         index = queue.popleft()
         attempts[index] += 1
-        requeue: List[int] = []
         try:
             completed[index] = _execute_indexed(tasks[index], policy.timeout_s)
-        except TaskTimeout as exc:
-            _fail_or_retry(
-                tasks[index], index, "timeout", exc, attempts, policy,
-                requeue, failures,
-            )
         except Exception as exc:
-            _fail_or_retry(
-                tasks[index], index, "exception", exc, attempts, policy,
-                requeue, failures,
-            )
-        queue.extend(requeue)
+            if attempts[index] <= policy.retries:
+                queue.append(index)
+            elif policy.on_error == "raise":
+                raise
+            else:
+                timeout = isinstance(exc, TaskTimeout)
+                failures[index] = TaskFailure(
+                    index=index,
+                    key=tasks[index].key,
+                    kind="timeout" if timeout else "exception",
+                    error=f"{type(exc).__name__}: {exc}",
+                    attempts=attempts[index],
+                )
     return completed, [failures[index] for index in sorted(failures)]
 
 
@@ -785,115 +690,49 @@ def _run_parallel(
     completed: Optional[Dict[int, Tuple[Any, float]]] = None,
     failures: Optional[Dict[int, TaskFailure]] = None,
 ) -> Tuple[Dict[int, Tuple[Any, float]], List[TaskFailure]]:
-    """Pooled execution that survives raising, hanging, and dying tasks.
+    """Run ``pending`` on worker processes draining a private sweep queue.
 
-    Tasks are submitted individually (not chunked ``map``) so one bad
-    task fails alone.  A :class:`BrokenProcessPool` — a worker died —
-    respawns the pool and resumes every unfinished task *without*
-    charging their retry budgets (the victim tasks did nothing wrong).
-    If the pool keeps breaking (>2 times) the remaining tasks run one
-    per single-worker pool, where a break is attributable to the task
-    it ran and *is* charged, bounding the total number of respawns.
-
-    ``pickle.PicklingError`` always re-raises so :func:`_run_pending`
-    can fall back to the serial path.  ``completed``/``failures`` are
-    mutated in place, so when that fallback happens the caller still
-    sees everything the pool finished (and merged) before the error —
-    the fallback must not re-run those indices.
+    One task per shard; :func:`repro.experiments.queue.drain` handles
+    worker deaths.  The fragments are folded in task order: each result
+    (unpickled, so types survive), counter delta, trace event and
+    spatial record joins this process's once.  A shard whose result did
+    not pickle stays unfinished, deltas unmerged, for the serial path.
+    Raise mode raises :class:`TaskFailed` at the first failure.
+    ``completed``/``failures`` are mutated in place, so they hold every
+    shard folded before an error.
     """
-    workers = min(jobs, len(pending))
+    from repro.experiments import queue  # only multi-worker sweeps load it
+
     completed = {} if completed is None else completed
     failures = {} if failures is None else failures
-    attempts = {index: 0 for index in pending}
-    remaining = deque(pending)
-    pool_breaks = 0
-    recorder = global_recorder()
-    registry = global_registry()
-
-    def merge(index: int, outcome) -> None:
-        # Merge each worker's shipped trace/counter deltas into this
-        # process's globals — without this, everything recorded inside
-        # the pool would die with the workers.
-        value, elapsed, events_payload, counter_delta = outcome
-        if events_payload:
-            recorder.merge(events_from_payload(events_payload))
-        if counter_delta:
-            registry.merge_snapshot(counter_delta)
-        completed[index] = (value, elapsed)
-
-    pool = ProcessPoolExecutor(max_workers=workers)
-    try:
-        while remaining and pool_breaks <= 2:
-            batch = sorted(remaining)
-            remaining.clear()
-            futures = {}
-            for index in batch:
-                attempts[index] += 1
-                futures[
-                    pool.submit(_execute_shipping, tasks[index], policy.timeout_s)
-                ] = index
-            requeue: List[int] = []
-            broken = False
-            for future in as_completed(futures):
-                index = futures[future]
-                try:
-                    merge(index, future.result())
-                except pickle.PicklingError:
-                    raise  # serial fallback handles the whole batch
-                except BrokenProcessPool:
-                    # The worker died under this task — maybe its own
-                    # doing, maybe a sibling's.  Resume without charging.
-                    attempts[index] -= 1
-                    requeue.append(index)
-                    broken = True
-                except TaskTimeout as exc:
-                    _fail_or_retry(
-                        tasks[index], index, "timeout", exc, attempts,
-                        policy, requeue, failures,
-                    )
-                except Exception as exc:
-                    _fail_or_retry(
-                        tasks[index], index, "exception", exc, attempts,
-                        policy, requeue, failures,
-                    )
-            if broken:
-                pool_breaks += 1
-                pool.shutdown(wait=False)
-                pool = ProcessPoolExecutor(max_workers=workers)
-            remaining.extend(requeue)
-    finally:
-        pool.shutdown(wait=False)
-
-    # Isolation mode: the pool broke repeatedly, so some task is killing
-    # its worker.  One task per throwaway single-worker pool pins the
-    # blame and charges it, so a crashing task cannot respawn forever.
-    while remaining:
-        index = remaining.popleft()
-        attempts[index] += 1
-        requeue: List[int] = []
+    with tempfile.TemporaryDirectory(prefix="repro-sweep-") as root:
+        spec = queue.shard_tasks([tasks[i] for i in pending], root, chunk=1)
         try:
-            with ProcessPoolExecutor(max_workers=1) as solo:
-                outcome = solo.submit(
-                    _execute_shipping, tasks[index], policy.timeout_s
-                ).result()
-            merge(index, outcome)
-        except pickle.PicklingError:
-            raise
-        except BrokenProcessPool as exc:
-            _fail_or_retry(
-                tasks[index], index, "broken_pool", exc, attempts, policy,
-                requeue, failures,
-            )
-        except TaskTimeout as exc:
-            _fail_or_retry(
-                tasks[index], index, "timeout", exc, attempts, policy,
-                requeue, failures,
-            )
-        except Exception as exc:
-            _fail_or_retry(
-                tasks[index], index, "exception", exc, attempts, policy,
-                requeue, failures,
-            )
-        remaining.extend(requeue)
-
+            queue.drain(spec, jobs, policy)
+        finally:
+            for shard, index in zip(spec.shards, pending):
+                path = queue.fragment_path(spec, shard)
+                if not os.path.exists(path):
+                    continue
+                fragment = obs_manifest.load_fragment(path)
+                row, key = fragment["tasks"][0], tasks[index].key
+                if fragment["failures"]:
+                    record = fragment["failures"][0]
+                    if policy.on_error == "raise":
+                        raise TaskFailed(
+                            f"sweep task {key!r} failed ({record['kind']}): "
+                            f"{record['error']}"
+                        )
+                    failures[index] = TaskFailure(
+                        index, key, record["kind"], record["error"],
+                        record["attempts"],
+                    )
+                elif "result_pickle" in row:
+                    completed[index] = (queue.row_result(row), row["elapsed_s"])
+                else:
+                    continue
+                global_recorder().merge(events_from_payload(fragment.get("events", ())))
+                global_registry().merge_snapshot(fragment["counters"])
+                if "spatial" in fragment:
+                    merge_spatial_record(fragment["spatial"])
     return completed, [failures[index] for index in sorted(failures)]

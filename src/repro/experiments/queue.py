@@ -1,18 +1,13 @@
 """Sharded, resumable sweep service (``python -m repro.experiments.queue``).
 
-:func:`repro.experiments.parallel.run_tasks` scales a sweep across the
-cores of *one* process tree.  The studies the ROADMAP wants next —
-multi-AP spatial-reuse floors, city-scale mobility, localization-error
-sensitivity — are grids of thousands to millions of
-:class:`~repro.experiments.parallel.SweepTask` records, which need many
-*independent* worker processes (possibly on many machines sharing one
-filesystem) draining one queue, surviving crashes, and resuming without
-recomputing finished work.  This module is that work-queue layer, built
-entirely on the determinism guarantees the executor already provides:
-results are a pure function of each task record (``derive_seed``
-streams), so any scheduling of the same grid produces bit-identical
-results, and a resumed run is indistinguishable from an uninterrupted
-one.
+The executor's only multi-process mechanism:
+:func:`repro.experiments.parallel.run_tasks` with ``jobs > 1`` shards its
+grid into a private temporary queue drained by local worker processes
+(:func:`drain`), and the CLI drains a shared queue with *independent*
+workers (possibly on many machines sharing one filesystem) that survive
+crashes and resume without recomputing finished work.  Results are a
+pure function of each task record (``derive_seed`` streams), so any
+scheduling of the same grid — resumed or not — is bit-identical.
 
 Queue layout (everything under one queue directory)::
 
@@ -22,57 +17,51 @@ Queue layout (everything under one queue directory)::
     <queue>/fragments/shard-00000-<digest>.json   completed shard (atomic)
     <queue>/<label>.manifest.json            merged manifest (after merge)
 
-* **Sharding** (:func:`shard_tasks`): the grid is chunked into shard
-  files addressed by the SHA-256 over their tasks' content fingerprints,
-  so a shard file's name commits to exactly which work it contains.
-  ``queue.json`` is written only after every shard file is on disk: its
-  existence implies a complete queue.
-* **Leases** (:func:`try_claim_shard`): claiming is an atomic
-  create-with-content (payload written to a temp file, hard-linked into
-  place) — exactly one worker wins, and the lease carries its owner's
-  nonce and TTL from the instant it exists.  An expired lease (crashed
-  worker) is reclaimed by atomically *renaming* it aside first, so of N
-  workers that simultaneously observe the same expired lease, exactly
-  one performs the takeover.  Workers re-assert their lease between
-  tasks (heartbeat) and re-verify ownership immediately before the
-  fragment write, so the TTL only needs to exceed one task's wall time,
-  not a whole shard's, and a reclaimed worker never records a shard it
-  lost.
-* **Fragments**: a completed shard is recorded as one atomically written
-  (temp + fsync + ``os.replace``) manifest fragment carrying the shard's
-  task rows, JSON results, and the *deltas* it added to the worker's
-  counter registry and trace recorder.  Fragment existence is the only
-  "shard done" signal — a worker SIGKILLed at any instant leaves either
-  a complete fragment or none, never a partial one.
-* **Merge** (:func:`merge`): folds all fragments plus the shard files'
-  task records into one schema-valid run manifest whose deterministic
-  fields (task rows, params, seeds, counters, failures) are bit-identical
-  to the manifest an uninterrupted serial :func:`run_tasks` of the same
-  grid would write.
-* **Resume** (:func:`resume`): re-runs only missing or failed shards —
-  bit-identically, because shard task records embed their derived seeds —
-  then merges.  ``resume`` accepts the queue directory, its
-  ``queue.json``, or a merged manifest written next to it.
+* **Sharding** (:func:`shard_tasks`): shard files are addressed by the
+  SHA-256 over their tasks' content fingerprints; ``queue.json`` is
+  written last, so its existence implies a complete queue.
+* **Leases** (:func:`try_claim_shard`): an atomic create-with-content —
+  exactly one worker wins, and the lease carries its owner's nonce and
+  TTL from the instant it exists.  An expired lease is reclaimed by
+  renaming it aside first, so exactly one of N racing workers takes it
+  over.  Workers heartbeat between tasks and re-verify ownership before
+  the fragment write, so the TTL only needs to exceed one task's wall
+  time and a reclaimed worker never records a shard it lost.
+* **Fragments**: a completed shard is one atomically written manifest
+  fragment carrying its task rows, results (JSON for readers, pickled
+  for ``run_tasks``), trace events, spatial record, hot-path state and
+  the counter/trace-count *deltas* it added.  Fragment existence is the
+  only "shard done" signal, so a SIGKILL at any instant leaves a
+  complete fragment or none.
+* **Merge** (:func:`merge`): folds the fragments into one run manifest
+  through :func:`~repro.experiments.parallel.sweep_manifest`, the
+  builder ``run_tasks`` uses, so it equals an uninterrupted serial run's
+  on every deterministic field.
+* **Resume** (:func:`resume`): re-runs only missing or failed shards,
+  then merges; it accepts the queue directory, its ``queue.json``, or a
+  merged manifest written next to it.
 
 CLI verbs: ``shard`` / ``work`` / ``merge`` / ``resume`` / ``smoke``
-(the CI end-to-end: shard a small Fig-8 grid, drain it with two worker
-processes, SIGKILL one mid-shard, resume, and assert the merged manifest
-equals an uninterrupted serial baseline).  See ``docs/robustness.md``.
+(the CI end-to-end crash/resume check).  See ``docs/robustness.md``.
 """
 
 from __future__ import annotations
 
 import argparse
+import base64
+import dataclasses
 import hashlib
 import json
+import math
+import multiprocessing
 import os
 import pickle
 import signal
 import subprocess
 import sys
-import tempfile
 import time
 import uuid
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -83,13 +72,17 @@ from repro.experiments.parallel import (
     TaskFailure,
     _run_serial,
     derive_seed,
-    grid_seeds,
     manifest_task_rows,
     resolve_policy,
+    sweep_manifest,
 )
 from repro.obs import manifest as obs_manifest
 from repro.obs.counters import diff_snapshot, global_registry
+from repro.obs.trace_io import events_to_payload
+from repro.phy.spatial import spatial_record
 from repro.sim.trace import global_recorder
+from repro.util.atomic import atomic_write
+from repro.util.hotpath import hotpath_enabled
 
 #: Environment knob: default lease TTL in seconds for queue workers.
 LEASE_TTL_ENV = "REPRO_QUEUE_LEASE_TTL_S"
@@ -153,20 +146,6 @@ def fragment_path(spec: QueueSpec, shard: ShardSpec) -> str:
     return os.path.join(spec.root, FRAGMENTS_DIR, f"{shard.name}.json")
 
 
-def _atomic_write_bytes(path: str, payload: bytes) -> None:
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(payload)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-
-
 def shard_tasks(
     tasks: Sequence[SweepTask],
     queue_dir: str,
@@ -176,8 +155,7 @@ def shard_tasks(
     """Shard ``tasks`` into a queue directory; returns the loaded spec.
 
     Tasks must pickle (they travel to worker *processes* via shard
-    files, exactly as they would into a :class:`ProcessPoolExecutor`)
-    and must be fingerprintable — both checked here, at shard time, so a
+    files) and must be fingerprintable — both checked here, at shard time, so a
     bad grid fails loudly before any worker starts.  ``queue.json`` is
     written last: a readable queue spec implies every shard file exists.
     """
@@ -217,7 +195,7 @@ def shard_tasks(
                 f"shard {shard.index} does not pickle "
                 f"(queue workers are separate processes): {exc}"
             ) from exc
-        _atomic_write_bytes(
+        atomic_write(
             os.path.join(queue_dir, SHARDS_DIR, f"{shard.name}.pkl"), blob
         )
         shard_rows.append(
@@ -241,7 +219,7 @@ def shard_tasks(
         "created_unix": time.time(),
         "shards": shard_rows,
     }
-    _atomic_write_bytes(
+    atomic_write(
         os.path.join(queue_dir, QUEUE_FILE),
         (json.dumps(queue_doc, indent=2, sort_keys=True) + "\n").encode("utf-8"),
     )
@@ -362,25 +340,16 @@ def _lease_expired(lease: Dict[str, Any], now: Optional[float] = None) -> bool:
 def _create_lease_excl(path: str, payload: bytes) -> Optional[bool]:
     """Create a fully-formed lease at ``path``; None means it exists.
 
-    The claim must be atomic *with its content*: the old
-    ``O_CREAT | O_EXCL``-then-write sequence left a window in which a
-    claimant SIGKILLed between create and write leaves an *empty* lease
-    — readable only through the mtime fallback (worker ``"?"``, zero
-    heartbeats) and reclaimable while the slow-starting creator still
-    believes it holds the shard.  The payload — worker nonce included —
-    is therefore written and fsynced to a private temp file first and
-    hard-linked into place: the lockfile appears fully formed or not at
-    all, and ``link`` fails with EEXIST exactly as the exclusive create
-    did.  Filesystems without hard links fall back to the exclusive
-    create-then-write (keeping the old, narrower window rather than
-    losing claiming entirely).
+    The payload (worker nonce included) is written to a private file and
+    hard-linked into place, so the lockfile appears complete or not at
+    all — a claimant killed mid-claim never leaves an empty lease that
+    others could reclaim while it starts work.  ``link`` fails with
+    EEXIST like an exclusive create.  Filesystems without hard links
+    fall back to ``O_CREAT | O_EXCL`` then write.
     """
     tmp = f"{path}.claim-{uuid.uuid4().hex[:8]}"
     try:
-        with open(tmp, "wb") as handle:
-            handle.write(payload)
-            handle.flush()
-            os.fsync(handle.fileno())
+        atomic_write(tmp, payload)
     except OSError:
         return False
     try:
@@ -416,15 +385,10 @@ def try_claim_shard(
 ) -> bool:
     """Attempt to acquire ``shard``'s lease; never blocks.
 
-    Fresh claim: an atomic create-with-content (see
-    :func:`_create_lease_excl`) — exactly one creator wins, and the
-    worker nonce is durably inside the lease before the claim is
-    reported held (i.e. before any shard work can begin).  Expired
-    lease: the claimant first *renames* the stale lease aside (two
-    workers racing on the same expired lease issue two renames of the
-    same source; the filesystem lets exactly one succeed), then retries
-    the create.  Losing any step returns False — the worker simply
-    moves on to the next shard.
+    A fresh claim is :func:`_create_lease_excl`.  An expired lease is
+    first renamed aside — of two racing renames of one source exactly
+    one succeeds — and the create retried.  Losing any step returns
+    False and the worker moves on to the next shard.
     """
     path = lease_path(spec, shard)
     payload = _lease_payload(worker_id, ttl_s)
@@ -458,18 +422,16 @@ def refresh_shard_lease(
 ) -> bool:
     """Re-assert ownership (heartbeat); False means the lease was lost.
 
-    A worker that stalls past its TTL can be legitimately reclaimed; on
-    resume it must notice and abandon the shard rather than fight the
-    new owner.  :func:`work` calls this between tasks *and* immediately
-    before the fragment write, so a reclaimed worker never records a
-    shard it no longer owns.
+    :func:`work` calls this between tasks and just before the fragment
+    write, so a worker reclaimed after stalling past its TTL abandons
+    the shard instead of recording one it no longer owns.
     """
     path = lease_path(spec, shard)
     lease = read_lease(path)
     if lease is None or lease.get("worker") != worker_id:
         return False
     try:
-        _atomic_write_bytes(path, _lease_payload(worker_id, ttl_s))
+        atomic_write(path, _lease_payload(worker_id, ttl_s))
         return True
     except OSError:
         return False
@@ -503,15 +465,17 @@ def _run_shard(
     """Execute one claimed shard; returns its fragment (not yet written).
 
     Tasks run through the executor's serial path one at a time so the
-    lease heartbeat fires between tasks.  Counter/trace *deltas* are
-    captured around the whole shard — integer-valued, so the merge sum
-    is exact.  Returns ``None`` if the lease was lost mid-shard.
+    lease heartbeat fires between tasks.  Counter deltas, trace events
+    and the spatial record are captured around the whole shard, all
+    exact under merging.  Returns ``None`` if the lease was lost
+    mid-shard.
     """
     tasks = load_shard_tasks(spec, shard)
     registry = global_registry()
     recorder = global_recorder()
     counters_base = registry.snapshot()
-    trace_base = recorder.counts()
+    events_base, dropped_base = len(recorder), recorder.dropped_events
+    spatial_base = spatial_record()
     started = time.perf_counter()
 
     completed: Dict[int, Tuple[Any, float]] = {}
@@ -522,39 +486,64 @@ def _run_shard(
             return None
     wall_s = time.perf_counter() - started
 
-    counter_delta = diff_snapshot(counters_base, registry.snapshot())
-    trace_now = recorder.counts()
-    trace_delta = {
-        key: value - trace_base.get(key, 0)
-        for key, value in trace_now.items()
-        if value - trace_base.get(key, 0) > 0
-    }
+    # Ring-buffer aware slice: events dropped during the shard shift the
+    # baseline index left.
+    shift = recorder.dropped_events - dropped_base
+    events = recorder.events()[max(0, events_base - shift):]
+    return _shard_fragment(
+        spec, shard, tasks, completed, failures,
+        worker=worker_id,
+        wall_s=wall_s,
+        counters=diff_snapshot(counters_base, registry.snapshot()),
+        trace_counts=dict(Counter(f"{e.category}/{e.name}" for e in events)),
+        events=events_to_payload(events),
+        spatial=spatial_record(since=spatial_base),
+        hotpath=hotpath_enabled(),
+    )
 
+
+def _shard_fragment(
+    spec: QueueSpec,
+    shard: ShardSpec,
+    tasks: List[SweepTask],
+    completed: Dict[int, Tuple[Any, float]],
+    failures: Dict[int, TaskFailure],
+    **fields: Any,
+) -> Dict[str, Any]:
+    """A shard's fragment from its local task outcomes; ``fields`` are
+    the rest of :func:`~repro.obs.manifest.build_fragment`'s arguments."""
     rows, _ = manifest_task_rows(tasks)
-    for local, (row, task) in enumerate(zip(rows, tasks)):
+    for local, row in enumerate(rows):
         row["index"] = shard.task_indices[local]
+        row["result"] = None
         if local in completed:
-            row["result"] = obs_manifest.jsonable(completed[local][0])
-            row["elapsed_s"] = completed[local][1]
-        else:
-            row["result"] = None
+            value, row["elapsed_s"] = completed[local]
+            row["result"] = obs_manifest.jsonable(value)
+            try:
+                row["result_pickle"] = base64.b64encode(pickle.dumps(value)).decode()
+            except Exception:
+                pass  # JSON form only: run_tasks re-runs the task serially
     failure_rows = []
     for local in sorted(failures):
         record = failures[local].as_dict()
         record["index"] = shard.task_indices[local]
         failure_rows.append(record)
-
     return obs_manifest.build_fragment(
         label=spec.label,
         shard_index=shard.index,
         shard_digest=shard.digest,
-        worker=worker_id,
-        wall_s=wall_s,
         tasks=rows,
-        counters=counter_delta,
-        trace_counts=trace_delta,
         failures=failure_rows,
+        **fields,
     )
+
+
+def row_result(row: Dict[str, Any]) -> Any:
+    """A fragment task row's result: the pickled original when present
+    (so tuples stay tuples), else the JSON rendering."""
+    if "result_pickle" in row:
+        return pickle.loads(base64.b64decode(row["result_pickle"]))
+    return row.get("result")
 
 
 def work(
@@ -570,23 +559,17 @@ def work(
 ) -> int:
     """Drain claimable shards from a queue; returns shards completed.
 
-    Scans shards in order, skipping done ones, claiming the rest.  With
-    ``wait=False`` (default) the worker exits once a full scan finds
-    nothing claimable — remaining shards are either done or leased to
-    other live workers.  ``wait=True`` keeps polling (``resume`` uses
-    this to outwait live leases) until everything is done or
-    ``wait_timeout_s`` elapses.
-
-    The default failure policy is ``on_error="record"`` (a service
-    worker must not abort a whole queue for one bad task) unless the
-    ``REPRO_ON_ERROR`` env knob or an explicit ``policy`` says
-    otherwise.
+    Scans shards in order, claiming those not done.  With ``wait=False``
+    (default) the worker exits once a full scan finds nothing claimable;
+    ``wait=True`` keeps polling (``resume`` outwaits live leases this
+    way) until everything is done or ``wait_timeout_s`` elapses.  The
+    default policy records failures (one bad task must not abort a
+    queue) unless ``REPRO_ON_ERROR`` or ``policy`` says otherwise.
 
     ``kill_after_shards`` is a crash-injection hook for tests and the
-    CI smoke: after completing that many shards the worker claims the
-    next one, runs it fully, then SIGKILLs itself *just before* the
-    fragment write — the most adversarial instant (all work done,
-    nothing recorded, lease still held).
+    CI smoke: after that many shards the worker runs the next one fully,
+    then SIGKILLs itself just before the fragment write — work done,
+    nothing recorded, lease still held.
     """
     spec = load_queue(queue_dir)
     worker_id = worker_id or default_worker_id()
@@ -623,11 +606,8 @@ def work(
                 if kill_after_shards is not None and done_count >= kill_after_shards:
                     os.kill(os.getpid(), signal.SIGKILL)
                 if not refresh_shard_lease(spec, shard, worker_id, lease_ttl_s):
-                    # Reclaimed after our last heartbeat (e.g. we stalled
-                    # past the TTL): the new owner re-runs the shard and
-                    # records it; recording it ourselves would race their
-                    # in-progress claim with a write they don't expect.
-                    continue
+                    continue  # reclaimed since our last heartbeat
+
                 obs_manifest.write_fragment(fragment, fragment_path(spec, shard))
                 done_count += 1
                 progressed = True
@@ -646,6 +626,77 @@ def work(
             time.sleep(poll_s)
 
 
+def drain(spec: QueueSpec, jobs: int, policy: FailurePolicy) -> None:
+    """Finish ``spec`` with local worker processes, round by round.
+
+    ``run_tasks(jobs > 1)`` runs here.  Each round starts ``min(jobs,
+    unfinished shards)`` processes running :func:`work` in record mode,
+    with leases that never expire, and joins them all.  A lease left
+    after that belongs to a dead worker: the driver deletes it and
+    charges that shard (no sibling: each worker is its own process) one
+    attempt; past ``policy.retries`` it writes the shard's fragment
+    itself, holding a ``broken_pool`` failure row.  A shard with a
+    fragment is done, lease or not.  A round that finishes no shard and
+    leaves no lease raises :class:`QueueError` rather than spin.
+    """
+    worker_policy = dataclasses.replace(policy, on_error="record")
+    deaths = [0] * len(spec.shards)
+    while True:
+        todo = [shard for shard in spec.shards if not shard_done(spec, shard)]
+        if not todo:
+            return
+        workers = [
+            multiprocessing.Process(
+                target=work, args=(spec.root,),
+                kwargs={"lease_ttl_s": math.inf, "policy": worker_policy},
+            )
+            for _ in range(min(jobs, len(todo)))
+        ]
+        started = []
+        try:
+            for worker in workers:
+                worker.start()
+                started.append(worker)
+        finally:
+            for worker in started:
+                worker.join()
+        exit_codes = {worker.pid: worker.exitcode for worker in started}
+        progressed = False
+        for shard in todo:
+            path = lease_path(spec, shard)
+            lease = read_lease(path)
+            if lease is not None:
+                os.unlink(path)  # every worker has exited: the holder died
+            if shard_done(spec, shard):
+                progressed = True
+                continue
+            if lease is None:
+                continue
+            progressed = True
+            deaths[shard.index] += 1
+            if deaths[shard.index] <= policy.retries:
+                continue
+            pid = lease.get("pid")
+            error = f"worker process {pid} died (exit code {exit_codes.get(pid)})"
+            tasks = load_shard_tasks(spec, shard)
+            failures = {
+                local: TaskFailure(
+                    local, task.key, "broken_pool", error, deaths[shard.index]
+                )
+                for local, task in enumerate(tasks)
+            }
+            fragment = _shard_fragment(
+                spec, shard, tasks, {}, failures, worker="driver", wall_s=0.0,
+                counters={}, trace_counts={},
+            )
+            obs_manifest.write_fragment(fragment, fragment_path(spec, shard))
+        if not progressed:
+            raise QueueError(
+                f"no worker finished or held a shard of {spec.root}; "
+                f"worker exit codes {sorted(exit_codes.values())}"
+            )
+
+
 # ----------------------------------------------------------------------
 # Merge + resume
 # ----------------------------------------------------------------------
@@ -654,11 +705,10 @@ def merge(queue_dir: str, out_dir: Optional[str] = None) -> str:
 
     Raises :class:`QueueError` (naming the shards) if any fragment is
     missing — a partial queue merges only after ``work``/``resume``
-    finish it.  The manifest's deterministic fields (task rows, params,
-    seeds, counters, failures) are built from the shard files' task
-    records through the *same* helpers a single ``run_tasks`` manifest
-    uses, so a merged manifest is bit-identical to an uninterrupted
-    run's on those fields.
+    finish it.  The manifest is built from the shard files' task records
+    by the *same* :func:`~repro.experiments.parallel.sweep_manifest` a
+    ``run_tasks`` manifest uses, so it is bit-identical to an
+    uninterrupted run's on every deterministic field.
     """
     spec = load_queue(queue_dir)
     fragments: List[Dict[str, Any]] = []
@@ -685,29 +735,13 @@ def merge(queue_dir: str, out_dir: Optional[str] = None) -> str:
     tasks: List[SweepTask] = []
     for shard in spec.shards:
         tasks.extend(load_shard_tasks(spec, shard))
-    rows, params = manifest_task_rows(tasks)
-
-    trace_counts: Dict[str, int] = {}
-    failure_rows: List[Dict[str, Any]] = []
     workers = sorted({fragment["worker"] for fragment in fragments})
-    wall_s = 0.0
-    for fragment in fragments:
-        wall_s += float(fragment["wall_s"])
-        for key, value in fragment["trace_counts"].items():
-            trace_counts[key] = trace_counts.get(key, 0) + int(value)
-        failure_rows.extend(fragment["failures"])
-    failure_rows.sort(key=lambda record: record.get("index", 0))
-
-    manifest = obs_manifest.build_manifest(
-        label=spec.label,
-        tasks=rows,
+    manifest = sweep_manifest(
+        spec.label,
+        tasks,
         jobs=max(1, len(workers)),
-        wall_s=wall_s,
-        params=params,
-        seeds=grid_seeds(tasks),
-        counters=obs_manifest.merge_fragment_counters(fragments),
-        trace_counts=trace_counts,
-        failures=failure_rows,
+        wall_s=sum(float(fragment["wall_s"]) for fragment in fragments),
+        fragments=fragments,
         shards={
             "count": len(spec.shards),
             "chunk": spec.chunk,
@@ -775,7 +809,7 @@ def queue_results(target: str) -> List[Any]:
         if not os.path.exists(path):
             raise QueueError(f"shard {shard.index} has no fragment yet")
         for row in obs_manifest.load_fragment(path)["tasks"]:
-            results[int(row["index"])] = row.get("result")
+            results[int(row["index"])] = row_result(row)
     return [results[index] for index in range(spec.total_tasks)]
 
 
@@ -914,6 +948,8 @@ def _comparable(manifest: obs_manifest.RunManifest) -> Dict[str, Any]:
         "seeds": manifest.seeds,
         "counters": manifest.counters,
         "failures": manifest.failures,
+        "spatial": manifest.spatial,
+        "hotpath": manifest.hotpath,
     }
 
 
@@ -933,7 +969,8 @@ def smoke(
     5. ``resume`` outwaits A's lease, re-runs the missing shards, and
        merges.
     6. The merged manifest must schema-validate and agree bit-for-bit
-       with the baseline on tasks, params, seeds, counters, failures.
+       with the baseline on tasks, params, seeds, counters, failures,
+       and the PHY path records (spatial, hotpath).
     """
     os.makedirs(out_dir, exist_ok=True)
     tasks = fig8_grid(

@@ -1,8 +1,8 @@
 """CI fault-smoke entry point (``python -m repro.faults.smoke``).
 
 Runs a short fault-injected sweep — a location-report outage plus an
-ACK-loss burst on the exposed-terminal topology — across a small worker
-pool, then asserts the robustness contract end to end:
+ACK-loss burst on the exposed-terminal topology — across a few worker
+processes, then asserts the robustness contract end to end:
 
 * every task completed (zero aborts: the manifest's ``failures`` list
   exists and is empty),
@@ -41,7 +41,7 @@ def smoke_task(seed: int = 0, duration_s: float = 0.1) -> dict:
 
     Returns per-flow goodput plus the injector's counters, and merges
     the fault counters into the process-global registry so they survive
-    the trip back from a pool worker into the sweep manifest.
+    the trip back from a sweep worker into the sweep manifest.
     """
     from repro.experiments.params import testbed_params
     from repro.experiments.topologies import exposed_terminal_topology
@@ -86,7 +86,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--out", default="fault-artifacts", help="artifact output directory"
     )
-    parser.add_argument("--jobs", type=int, default=2, help="pool worker count")
+    parser.add_argument("--jobs", type=int, default=2, help="sweep worker count")
     parser.add_argument(
         "--duration-s", type=float, default=0.1, help="per-run simulated seconds"
     )

@@ -25,11 +25,12 @@ import dataclasses
 import json
 import os
 import subprocess
-import tempfile
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Union
+
+from repro.util.atomic import atomic_write
 
 #: Environment knob: directory that receives run manifests.
 MANIFEST_DIR_ENV = "REPRO_MANIFEST_DIR"
@@ -47,7 +48,11 @@ SUPPORTED_MANIFEST_VERSIONS = (1, 2)
 #: (:mod:`repro.experiments.queue`); ``merge`` folds them into one
 #: :data:`MANIFEST_SCHEMA` document.
 FRAGMENT_SCHEMA = "repro.manifest.fragment"
-FRAGMENT_SCHEMA_VERSION = 1
+#: Version 2 added optional fields: each task row's pickled result
+#: (``result_pickle``, base64) and the shard's trace ``events``,
+#: ``spatial`` record and ``hotpath`` state.  Version-1 fragments load.
+FRAGMENT_SCHEMA_VERSION = 2
+SUPPORTED_FRAGMENT_VERSIONS = (1, 2)
 
 _REQUIRED_FIELDS = {
     "schema": str,
@@ -101,15 +106,13 @@ class RunManifest:
     #: the worker ids that produced the fragments.  ``None`` on
     #: single-``run_tasks`` manifests (schema version 2, optional).
     shards: Optional[Dict[str, Any]] = None
-    #: Spatial grids built in this process by sweep completion (count
-    #: plus cell-size and reach-radius aggregates when any was built) —
-    #: see :func:`repro.phy.spatial.spatial_manifest_block`.  Optional
-    #: for the same archival-compatibility reason as ``profile``;
-    #: archived manifests may carry an older ``{"enabled": ...}`` form.
+    #: Spatial grids built by the sweep's processes, sweep workers
+    #: included (:func:`repro.phy.spatial.spatial_manifest_block`).
+    #: Optional; archived manifests may carry an ``{"enabled": ...}`` form.
     spatial: Optional[Dict[str, Any]] = None
     #: State of the ``REPRO_HOTPATH`` knob (:mod:`repro.util.hotpath`),
-    #: the one PHY execution-mode knob, so a reference-path run is told
-    #: apart from a default one.  ``None`` on archived manifests.
+    #: so a reference-path run is told apart from a default one.  ``None``
+    #: on archived manifests and when merged fragments disagree.
     hotpath: Optional[bool] = None
 
     def to_dict(self) -> Dict[str, Any]:
@@ -155,14 +158,16 @@ def write_manifest(
     manifest: RunManifest, directory: Union[str, "os.PathLike"]
 ) -> str:
     """Serialize ``manifest`` into ``directory``; returns the file path."""
-    os.makedirs(directory, exist_ok=True)
     path = os.path.join(os.fspath(directory), f"{_safe_name(manifest.label)}.manifest.json")
     payload = manifest.to_dict()
     validate_manifest(payload)  # never write a manifest we could not load
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
+    return _write_json(path, payload)
+
+
+def _write_json(path: str, payload: Dict[str, Any]) -> str:
+    # Atomic, so a crash mid-write never leaves a truncated document.
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return atomic_write(path, text.encode("utf-8"))
 
 
 def load_manifest(path: Union[str, "os.PathLike"]) -> RunManifest:
@@ -321,6 +326,9 @@ def build_fragment(
     counters: Dict[str, Any],
     trace_counts: Dict[str, int],
     failures: List[Dict[str, Any]],
+    events: Optional[List[Dict[str, Any]]] = None,
+    spatial: Optional[Dict[str, Any]] = None,
+    hotpath: Optional[bool] = None,
 ) -> Dict[str, Any]:
     """Assemble one shard's manifest fragment.
 
@@ -330,9 +338,10 @@ def build_fragment(
     shard's execution added to the worker's registry and recorder — the
     merge step sums fragment deltas in shard order, which reproduces an
     uninterrupted run's totals exactly because counter deltas are
-    integers.
+    integers.  The v2 fields — the shard's trace ``events``, ``spatial``
+    record and ``hotpath`` state — are left out when ``None``.
     """
-    return {
+    fragment = {
         "schema": FRAGMENT_SCHEMA,
         "version": FRAGMENT_SCHEMA_VERSION,
         "label": label,
@@ -345,6 +354,9 @@ def build_fragment(
         "trace_counts": trace_counts,
         "failures": failures,
     }
+    optional = {"events": events, "spatial": spatial, "hotpath": hotpath}
+    fragment.update((k, v) for k, v in optional.items() if v is not None)
+    return fragment
 
 
 def validate_fragment(obj: Any) -> None:
@@ -357,10 +369,10 @@ def validate_fragment(obj: Any) -> None:
         raise ManifestError(
             f"not a {FRAGMENT_SCHEMA} document: {obj.get('schema')!r}"
         )
-    if obj.get("version") != FRAGMENT_SCHEMA_VERSION:
+    if obj.get("version") not in SUPPORTED_FRAGMENT_VERSIONS:
         raise ManifestError(
             f"fragment version {obj.get('version')!r} unsupported "
-            f"(expected {FRAGMENT_SCHEMA_VERSION})"
+            f"(expected one of {SUPPORTED_FRAGMENT_VERSIONS})"
         )
     problems = []
     for name, types in _FRAGMENT_REQUIRED.items():
@@ -384,27 +396,11 @@ def validate_fragment(obj: Any) -> None:
 def write_fragment(fragment: Dict[str, Any], path: Union[str, "os.PathLike"]) -> str:
     """Atomically serialize one fragment; its existence means "shard done".
 
-    Same discipline as the result cache: same-directory temp file,
-    flush + fsync, then ``os.replace`` — a worker SIGKILLed mid-write
-    leaves no partial fragment, so resume re-runs the whole shard
-    instead of trusting a truncated record.
+    A worker SIGKILLed mid-write leaves no partial fragment, so resume
+    re-runs the whole shard instead of trusting a truncated record.
     """
     validate_fragment(fragment)
-    path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(fragment, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-    return path
+    return _write_json(os.fspath(path), fragment)
 
 
 def load_fragment(path: Union[str, "os.PathLike"]) -> Dict[str, Any]:
@@ -424,7 +420,7 @@ def merge_fragment_counters(
     """Fold per-shard counter deltas into one summed snapshot.
 
     Uses the same :meth:`~repro.obs.counters.CounterRegistry.merge_snapshot`
-    machinery that folds pool-worker deltas into the parent registry, so
+    machinery that folds worker fragments into the parent registry, so
     a merged manifest's ``counters`` block is computed by the identical
     code path a serial sweep's would be.
     """

@@ -50,8 +50,9 @@ radio — all O(1).
 
 from __future__ import annotations
 
-from math import floor, inf
-from typing import Dict, List, Set, Tuple
+from collections import Counter
+from math import floor, fsum
+from typing import Dict, List, Optional, Set, Tuple
 
 _CellKey = Tuple[int, int]
 
@@ -179,70 +180,81 @@ class SpatialIndex:
 # ----------------------------------------------------------------------
 # Process-level stats for run manifests (satellite: sweep attribution)
 # ----------------------------------------------------------------------
-class _Aggregate:
-    """Constant-memory min/max/sum/count over recorded samples."""
+#: Grid cell sizes and reach radii seen in this process, as value -> count
+#: multisets: records taken from them subtract, add and fold exactly and
+#: in any order, so a sweep whose workers ship their records back reports
+#: the same block as a serial run.
+_samples: Dict[str, Counter] = {"cell_size_m": Counter(), "reach_radius_m": Counter()}
 
-    __slots__ = ("count", "total", "minimum", "maximum")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.total = 0.0
-        self.minimum = inf
-        self.maximum = -inf
-
-    def record(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        if value < self.minimum:
-            self.minimum = value
-        if value > self.maximum:
-            self.maximum = value
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "count": self.count,
-            "min": self.minimum,
-            "max": self.maximum,
-            "mean": self.total / self.count,
-        }
-
-
-_cell_sizes = _Aggregate()
-_reach_radii = _Aggregate()
+_Record = Dict[str, List[List[float]]]
 
 
 def record_grid_built(cell_size_m: float) -> None:
     """Channels report each grid they size; feeds the manifest block."""
-    _cell_sizes.record(cell_size_m)
+    _samples["cell_size_m"][cell_size_m] += 1
 
 
 def record_reach_radius(radius_m: float) -> None:
     """Channels report each distinct reach radius they resolve."""
-    _reach_radii.record(radius_m)
+    _samples["reach_radius_m"][radius_m] += 1
 
 
 def reset_spatial_stats() -> None:
     """Forget recorded stats (test isolation)."""
-    global _cell_sizes, _reach_radii
-    _cell_sizes = _Aggregate()
-    _reach_radii = _Aggregate()
+    for samples in _samples.values():
+        samples.clear()
 
 
-def spatial_manifest_block() -> Dict[str, object]:
+def _multiset(pairs: List[List[float]]) -> Counter:
+    return Counter({value: int(count) for value, count in pairs})
+
+
+def spatial_record(since: Optional[_Record] = None) -> _Record:
+    """This process's samples, less those in ``since``, as JSON lists
+    (a sweep-queue worker puts its shard's record into the fragment)."""
+    return {
+        name: sorted(
+            [value, count]
+            for value, count in (
+                samples - _multiset(since[name]) if since else samples
+            ).items()
+        )
+        for name, samples in _samples.items()
+    }
+
+
+def merge_spatial_record(record: _Record) -> None:
+    """Add a worker's record to this process's stats."""
+    for name, samples in _samples.items():
+        samples.update(_multiset(record[name]))
+
+
+def spatial_manifest_block(
+    records: Optional[List[_Record]] = None,
+) -> Dict[str, object]:
     """The ``spatial`` block recorded in run manifests.
 
-    Reports how many grids were built *in this process* since the last
-    reset, plus cell-size / reach-radius aggregates when any were — the
-    path actually taken, since each channel chooses for itself.  Sweep
-    workers in a process pool build their own grids; their stats are
-    not shipped back to the parent, so the block describes the parent's
-    runs, and per-channel counters (``channel/spatial_*``) carry the
-    per-run detail.  Archived manifests carry an older
-    ``{"enabled": ...}`` form of this block; both load unchanged.
+    How many grids were built since the last reset, plus cell-size /
+    reach-radius aggregates when any were — the path actually taken,
+    since each channel chooses for itself.  Without ``records`` it
+    covers this process, including every sweep worker whose record was
+    merged back; otherwise it folds just ``records`` (a queue merge).
+    Archived manifests carry an older ``{"enabled": ...}`` form.
     """
-    block: Dict[str, object] = {"grids_built": _cell_sizes.count}
-    if _cell_sizes.count:
-        block["cell_size_m"] = _cell_sizes.as_dict()
-    if _reach_radii.count:
-        block["reach_radius_m"] = _reach_radii.as_dict()
+    samples = _samples
+    if records is not None:
+        samples = {name: Counter() for name in _samples}
+        for record in records:
+            for name, values in samples.items():
+                values.update(_multiset(record[name]))
+    block: Dict[str, object] = {"grids_built": sum(samples["cell_size_m"].values())}
+    for name, values in samples.items():
+        if values:
+            count = sum(values.values())
+            block[name] = {
+                "count": count,
+                "min": min(values),
+                "max": max(values),
+                "mean": fsum(value * n for value, n in values.items()) / count,
+            }
     return block

@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -273,7 +275,66 @@ def make_fragment(**overrides):
     return build_fragment(**base)
 
 
+class TestAtomicManifestWrite:
+    """``write_manifest`` is atomic: dying mid-write keeps the old file."""
+
+    #: Writes one complete manifest, then SIGKILLs itself inside the
+    #: rewrite — after the new payload hit its temp file, just before
+    #: ``os.replace`` would publish it.
+    _KILLED_MID_WRITE = """
+import os, signal
+from repro.obs import manifest as m
+
+def manifest(jobs):
+    return m.build_manifest(
+        label="crash", tasks=[], jobs=jobs, wall_s=0.0, params=dict(),
+        seeds=[], counters=dict(), trace_counts=dict(),
+    )
+
+def _die(src, dst):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+m.write_manifest(manifest(1), {root!r})
+os.replace = _die
+m.write_manifest(manifest(2), {root!r})
+raise SystemExit("unreachable: the write above must have killed us")
+"""
+
+    def test_kill_mid_write_leaves_the_previous_manifest(self, tmp_path):
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             self._KILLED_MID_WRITE.format(root=str(tmp_path))],
+            env={**os.environ, "PYTHONPATH": os.path.abspath(src)},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == -9, proc.stderr  # SIGKILL, not SystemExit
+        # The published manifest is the complete first one, not a
+        # truncated second one; the only debris is the orphaned temp file.
+        assert load_manifest(tmp_path / "crash.manifest.json").jobs == 1
+        names = sorted(os.listdir(tmp_path))
+        assert len(names) == 2 and names[1].endswith(".tmp")
+
+
 class TestFragments:
+    def test_version_one_fragment_still_loads(self, tmp_path):
+        fragment = make_fragment()
+        fragment["version"] = 1
+        validate_fragment(fragment)
+        assert "events" not in fragment and "spatial" not in fragment
+
+    def test_version_two_fields_round_trip(self, tmp_path):
+        fragment = make_fragment(
+            events=[{"t": 0.0, "category": "sweep", "name": "task_run"}],
+            spatial={"cell_size_m": [[250.0, 1]], "reach_radius_m": []},
+            hotpath=False,
+        )
+        loaded = load_fragment(write_fragment(fragment, tmp_path / "frag.json"))
+        assert loaded == fragment
+        assert loaded["hotpath"] is False
+
     def test_round_trip(self, tmp_path):
         fragment = make_fragment()
         path = write_fragment(fragment, tmp_path / "frag.json")

@@ -15,7 +15,6 @@ Two historical bugs, each with a failing-before/passing-after test here:
 """
 
 import os
-import pickle
 
 import pytest
 
@@ -141,9 +140,9 @@ class TestFallbackResumesOnlyUnfinished:
     def test_pool_partial_progress_is_not_rerun(self, tmp_path, monkeypatch):
         """The double-merge regression, made deterministic.
 
-        A fake pool completes task 0 for real (file-append side effect,
-        mimicking a worker whose result and deltas already shipped) and
-        then dies with ``PicklingError`` — the old fallback re-ran *all*
+        A fake driver completes task 0 for real (file-append side effect,
+        mimicking a worker whose result and deltas already merged) and
+        then dies with ``OSError`` — the old fallback re-ran *all*
         pending indices, executing task 0 twice and double-merging its
         already-shipped deltas.  The witness file must show each task
         exactly once.
@@ -161,7 +160,7 @@ class TestFallbackResumesOnlyUnfinished:
         def dying_parallel(tasks_, pending, jobs, policy,
                            completed=None, failures=None):
             _run_serial(tasks_, [pending[0]], policy, completed, failures)
-            raise pickle.PicklingError("result will not pickle")
+            raise OSError("cannot start a worker process")
 
         monkeypatch.setattr(parallel_mod, "_run_parallel", dying_parallel)
         trace = _TraceStub()
@@ -185,7 +184,7 @@ class TestFallbackResumesOnlyUnfinished:
         def dying_parallel(tasks_, pending, jobs, policy,
                            completed=None, failures=None):
             _run_serial(tasks_, pending[:2], policy, completed, failures)
-            raise pickle.PicklingError("boom")
+            raise OSError("boom")
 
         tasks = [
             SweepTask(fn=_boom_cell, kwargs={"x": float(i)}, key=("fail", i))

@@ -275,6 +275,38 @@ class TestWorkAndMerge:
         assert manifest.shards["count"] == 3
         assert manifest.shards["workers"]  # the worker id is recorded
 
+    def test_merge_records_the_path_the_fragments_agree_on(
+        self, tmp_path, fresh_globals
+    ):
+        spec = shard_tasks(demo_grid(3), str(tmp_path), chunk=1, label="path")
+        work(str(tmp_path))
+        merged = load_manifest(merge(str(tmp_path)))
+        assert merged.hotpath is True
+        assert merged.spatial == {"grids_built": 0}
+
+        def rewrite(shard, edit):
+            path = fragment_path(spec, shard)
+            fragment = load_fragment(path)
+            edit(fragment)
+            with open(path, "w") as handle:
+                json.dump(fragment, handle)
+
+        # Workers that disagree on the hot path leave it unknown...
+        rewrite(spec.shards[1], lambda f: f.update(hotpath=False))
+        assert load_manifest(merge(str(tmp_path))).hotpath is None
+
+        # ...and so does a version-1 fragment, for both fields.
+        def downgrade(fragment):
+            fragment["version"] = 1
+            for name in ("events", "spatial", "hotpath"):
+                del fragment[name]
+
+        rewrite(spec.shards[1], lambda f: f.update(hotpath=True))
+        rewrite(spec.shards[2], downgrade)
+        merged = load_manifest(merge(str(tmp_path)))
+        assert merged.hotpath is None and merged.spatial is None
+        assert merged.counters == {"demo/cells": 3}
+
     def test_merge_matches_uninterrupted_run_tasks_manifest(
         self, tmp_path, fresh_globals
     ):

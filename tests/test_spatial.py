@@ -18,7 +18,8 @@ Covers the spatial candidate-generation tentpole:
 * candidate ordering, the ``spatial_*`` counters, margin-off inertness,
   and the manifest ``spatial`` block;
 * the grid-vs-exhaustive choice itself (:func:`grid_pays_off`), unit
-  and end to end on a row-of-cells floor and the Fig. 8 floor.
+  and end to end on a row-of-cells floor and the Fig. 8 floor, and the
+  same manifest ``spatial`` block from every sweep executor.
 """
 
 import math
@@ -26,10 +27,18 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.experiments.parallel import SweepTask, run_tasks
 from repro.experiments.params import ns2_params
+from repro.experiments.queue import merge, shard_tasks, work
 from repro.net.network import Network
 from repro.obs.counters import CounterRegistry
-from repro.obs.manifest import RunManifest, build_manifest, validate_manifest
+from repro.obs.manifest import (
+    RunManifest,
+    build_manifest,
+    load_manifest,
+    manifest_sink,
+    validate_manifest,
+)
 from repro.phy.propagation import REACH_RADIUS_SLACK, LogNormalShadowing
 from repro.phy.radio import Radio, RadioConfig
 from repro.phy.spatial import (
@@ -459,6 +468,13 @@ class TestManifestSpatialBlock:
 # ----------------------------------------------------------------------
 # The grid-vs-exhaustive choice
 # ----------------------------------------------------------------------
+def row_of_cells_frames(seed):
+    """Sweep task: a short run of the row-of-cells floor, which builds a grid."""
+    net = TestGridChoice._row_of_cells(seed=seed)
+    net.run(0.01)
+    return net.counters()["channel/frames_sent"]
+
+
 class TestGridChoice:
     REACH_M = 1_500.0
 
@@ -473,9 +489,9 @@ class TestGridChoice:
         assert grid_pays_off(extent_reaches * self.REACH_M, self.REACH_M) is expected
 
     @staticmethod
-    def _row_of_cells(cells=4):
+    def _row_of_cells(cells=4, seed=17):
         """Default-params DCF cells 3 km apart (bench_scale_city's shape)."""
-        net = Network(ns2_params(), mac_kind="dcf", seed=17)
+        net = Network(ns2_params(), mac_kind="dcf", seed=seed)
         for i in range(cells):
             cx = i * 3_000.0
             ap = net.add_ap(f"AP{i}", cx, 0.0)
@@ -496,6 +512,33 @@ class TestGridChoice:
         assert counters["channel/spatial_queries"] == channel.frames_sent > 0
         assert counters["channel/spatial_skipped"] > 0
         assert counters["channel/spatial_cells"] == grid.cell_count
+
+    def test_every_executor_records_the_same_spatial_block(self, tmp_path):
+        # Serially, on two worker processes and through a sweep queue:
+        # the grids are built in different processes each time, and the
+        # manifest must account for them all the same.
+        tasks = [
+            SweepTask(fn=row_of_cells_frames, kwargs={"seed": seed}, key=("row", seed))
+            for seed in (17, 18)
+        ]
+        blocks = []
+        try:
+            for name, jobs in (("serial", 1), ("workers", 2)):
+                reset_spatial_stats()
+                with manifest_sink(str(tmp_path / name)):
+                    run_tasks(tasks, jobs=jobs, label="row")
+                manifest = load_manifest(tmp_path / name / "row.manifest.json")
+                blocks.append(manifest.spatial)
+            reset_spatial_stats()
+            qdir = str(tmp_path / "queue")
+            shard_tasks(tasks, qdir, chunk=1, label="row")
+            work(qdir)
+            blocks.append(load_manifest(merge(qdir)).spatial)
+        finally:
+            reset_spatial_stats()
+        assert blocks[0]["grids_built"] == 2
+        assert blocks[0]["cell_size_m"]["count"] == 2
+        assert blocks[0] == blocks[1] == blocks[2]
 
     def test_fig8_floor_keeps_the_sweep(self):
         net, _ = run_scenario("fig8")

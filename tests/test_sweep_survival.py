@@ -16,16 +16,29 @@ import time
 
 import pytest
 
+import repro.experiments.queue as queue_mod
 from repro.experiments.parallel import (
     ON_ERROR_ENV,
     RETRIES_ENV,
     TIMEOUT_ENV,
     FailurePolicy,
     SweepTask,
+    TaskFailed,
     TaskTimeout,
     _alarm,
     resolve_policy,
     run_tasks,
+)
+from repro.experiments.queue import (
+    QueueError,
+    demo_grid,
+    drain,
+    fragment_path,
+    lease_path,
+    queue_results,
+    shard_done,
+    shard_tasks,
+    work,
 )
 from repro.obs import manifest as obs_manifest
 from repro.util.rng import derive_seed
@@ -59,6 +72,38 @@ def flaky_once(marker, seed=0, key=()):
             handle.write("attempted")
         raise RuntimeError("transient failure")
     return seeded_value(base_seed=seed, key=key)
+
+
+def _witness(path, key):
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write(f"{key}\n")
+
+
+def witnessed_value(witness, seed=0, key=()):
+    """:func:`seeded_value` that logs one line per execution."""
+    _witness(witness, key)
+    return seeded_value(base_seed=seed, key=key)
+
+
+def kill_once(marker, witness, seed=0, key=()):
+    """SIGKILLs its worker the first time it runs, then succeeds."""
+    _witness(witness, key)
+    if not os.path.exists(marker):
+        with open(marker, "w", encoding="utf-8") as handle:
+            handle.write("killed")
+        os.kill(os.getpid(), signal.SIGKILL)
+    return seeded_value(base_seed=seed, key=key)
+
+
+def seeded_pair(base_seed=0, key=()):
+    """A tuple result: JSON would turn it into a list."""
+    value = seeded_value(base_seed, key)
+    return (value, value / 7.0)
+
+
+def idle_worker(queue_dir, **kwargs):
+    """A worker that exits without claiming anything."""
+    return 0
 
 
 def _ok_task(i):
@@ -241,3 +286,89 @@ class TestSweepSurvival:
         with open(tmp_path / manifest_name, "r", encoding="utf-8") as handle:
             manifest = json.load(handle)
         assert manifest["failures"] == []
+
+
+# ----------------------------------------------------------------------
+# The multi-worker driver: worker deaths, raise mode, result types
+# ----------------------------------------------------------------------
+class TestDriver:
+    def test_killed_worker_retried_bit_identically(self, tmp_path):
+        marker = str(tmp_path / "killed.marker")
+        witness = str(tmp_path / "witness.log")
+        keys = [("ok", 0), ("victim",), ("ok", 1), ("ok", 2)]
+        tasks = [
+            SweepTask(
+                fn=kill_once if key == ("victim",) else witnessed_value,
+                kwargs=(
+                    {"marker": marker, "witness": witness, "seed": 5, "key": key}
+                    if key == ("victim",)
+                    else {"witness": witness, "seed": 5, "key": key}
+                ),
+                key=key,
+            )
+            for key in keys
+        ]
+        with obs_manifest.manifest_sink(str(tmp_path)):
+            parallel = run_tasks(
+                tasks, jobs=2, label="killed", retries=1, on_error="record"
+            )
+        assert os.path.exists(marker)  # the victim really died once
+        manifest = obs_manifest.load_manifest(tmp_path / "killed.manifest.json")
+        assert manifest.failures == []
+        # The marker now exists, so a serial run completes every task.
+        assert parallel == run_tasks(tasks, jobs=1)
+        with open(witness, encoding="utf-8") as handle:
+            runs = handle.read().splitlines()
+        # Each task ran once per sweep, except the victim's fatal attempt.
+        assert sorted(runs) == sorted(
+            [str(key) for key in keys] * 2 + [str(("victim",))]
+        )
+
+    def test_raise_mode_names_the_failed_task(self):
+        tasks = [
+            _ok_task(0),
+            SweepTask(fn=raiser, kwargs={}, key=("boom",)),
+            _ok_task(1),
+        ]
+        with pytest.raises(TaskFailed) as caught:
+            run_tasks(tasks, jobs=2)
+        message = str(caught.value)
+        assert "('boom',)" in message
+        assert "exception" in message
+        assert "RuntimeError: injected task failure" in message
+
+    def test_tuple_results_keep_their_type(self, tmp_path):
+        tasks = [
+            SweepTask(
+                fn=seeded_pair,
+                kwargs={"base_seed": 3, "key": ("pair", i)},
+                key=("pair", i),
+            )
+            for i in range(3)
+        ]
+        serial = run_tasks(tasks, jobs=1)
+        parallel = run_tasks(tasks, jobs=2)
+        qdir = str(tmp_path / "queue")
+        shard_tasks(tasks, qdir, chunk=1)
+        work(qdir)
+        queued = queue_results(qdir)
+        assert serial == parallel == queued
+        assert all(type(r) is tuple for r in serial + parallel + queued)
+
+    def test_round_without_progress_raises(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(queue_mod, "work", idle_worker)
+        spec = shard_tasks(demo_grid(2), str(tmp_path), chunk=1)
+        with pytest.raises(QueueError, match="no worker finished"):
+            drain(spec, 2, resolve_policy())
+
+    def test_fragment_wins_over_a_leftover_lease(self, tmp_path, monkeypatch):
+        # Workers that write their fragment but never drop the lease
+        # (dying right after the write looks the same to the driver).
+        monkeypatch.setattr(queue_mod, "release_shard", lambda *args: None)
+        spec = shard_tasks(demo_grid(3), str(tmp_path), chunk=1)
+        drain(spec, 2, resolve_policy(retries=0))
+        for shard in spec.shards:
+            assert shard_done(spec, shard)
+            assert not os.path.exists(lease_path(spec, shard))
+            fragment = obs_manifest.load_fragment(fragment_path(spec, shard))
+            assert fragment["failures"] == []
